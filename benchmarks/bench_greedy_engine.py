@@ -1,12 +1,15 @@
-"""Perf-regression harness for the batched lazy-greedy coverage engine.
+"""Perf-regression harness for the lazy-greedy coverage engine.
 
 Times the greedy-allocation consumers — CS-Greedy, CA-Greedy and
-ThresholdGreedy + Fill — with the batched coverage engine
-(``ExecutionPolicy(greedy_engine="batched")``, the ``fast`` default:
-vectorized CELF refreshes through the ``(h, n)`` coverage marginal matrix,
-see :mod:`repro.core.batched_greedy`) against the seed scalar path
-(``ExecutionPolicy.seed()``: per-element ``oracle.marginal_revenue``
-callbacks), on a Weighted-Cascade synthetic graph with an RR-set oracle.
+ThresholdGreedy + Fill — on the coverage engine (what an RR-set oracle
+gets: vectorized CELF refreshes through the ``(h, n)`` coverage marginal
+matrix, see :mod:`repro.core.batched_greedy`) against the per-key oracle
+engine (one ``oracle.marginal_revenue`` call per element, what every other
+oracle gets), on a Weighted-Cascade synthetic graph.  Both sides query the
+same RR-set oracle; the oracle engine is forced by wrapping it in
+:class:`PerKeyOracle`, a plain :class:`RevenueOracle` that forwards every
+query.  The report keeps its historical keys: ``scalar_s`` is the oracle
+engine, ``batched_s`` the coverage engine.
 
 Run directly::
 
@@ -16,9 +19,10 @@ Run directly::
 The full run writes ``BENCH_greedy_engine.json`` next to the repo root
 (override with ``--output``) and fails if the aggregate ``greedy_coverage``
 speedup drops below 3x; ``--fast`` applies a smaller CI gate.  The batched
-engine replays the scalar heap's schedule bit for bit, so every section also
-asserts the two paths returned *identical allocations*
-(``tests/test_greedy_engine_equivalence.py`` pins this per consumer).
+engines see the same floats and the heap's schedule does not depend on its
+batch size, so every section also asserts the two engines returned
+*identical allocations* (``tests/test_greedy_engine_equivalence.py`` pins
+this per consumer).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from repro.advertising.advertiser import Advertiser
 from repro.advertising.instance import RMInstance
-from repro.advertising.oracle import RRSetOracle
+from repro.advertising.oracle import RevenueOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
 from repro.baselines.cs_greedy import cs_greedy
 from repro.core.threshold_greedy import threshold_greedy
@@ -40,14 +44,7 @@ from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import SubsimRRGenerator
-from repro.runtime import ExecutionPolicy
 from repro.utils.resources import peak_rss_mib
-
-#: flag=False → scalar heap (seed policy); flag=True → batched engine
-ENGINE_POLICIES = {
-    False: ExecutionPolicy.seed(),
-    True: ExecutionPolicy(greedy_engine="batched"),
-}
 
 FULL = {"num_nodes": 20_000, "out_degree": 5, "rr_sets": 3000, "min_speedup": 3.0}
 FAST = {"num_nodes": 2_000, "out_degree": 5, "rr_sets": 600, "min_speedup": 1.5}
@@ -58,6 +55,24 @@ TAG_SEED = 1
 COST_SEED = 7
 #: per-advertiser demand fraction B_i = demand · n · cpe_i (Table 2 regime)
 DEMAND = 0.15
+
+
+class PerKeyOracle(RevenueOracle):
+    """Forwards every query to ``inner``; not an RR-set oracle, so the
+    greedy consumers run on the per-key oracle engine."""
+
+    def __init__(self, inner: RevenueOracle):
+        self._inner = inner
+
+    @property
+    def num_advertisers(self) -> int:
+        return self._inner.num_advertisers
+
+    def revenue(self, advertiser, seeds):
+        return self._inner.revenue(advertiser, seeds)
+
+    def marginal_revenue(self, advertiser, node, seeds):
+        return self._inner.marginal_revenue(advertiser, node, seeds)
 
 
 def _timed(fn):
@@ -100,14 +115,15 @@ def run(config: dict) -> dict:
         "sections": {},
     }
 
-    def fresh_oracle():
-        # A fresh oracle per timed run: the scalar path warms per-query
+    def fresh_oracle(coverage):
+        # A fresh oracle per timed run: the per-key engine warms per-query
         # caches that must not leak into the next measurement.
-        return RRSetOracle(collection, instance.gamma)
+        oracle = RRSetOracle(collection, instance.gamma)
+        return oracle if coverage else PerKeyOracle(oracle)
 
     def section(name, solve):
-        scalar_s, scalar_out = _timed(lambda: solve(fresh_oracle(), False))
-        batched_s, batched_out = _timed(lambda: solve(fresh_oracle(), True))
+        scalar_s, scalar_out = _timed(lambda: solve(fresh_oracle(False)))
+        batched_s, batched_out = _timed(lambda: solve(fresh_oracle(True)))
         for advertiser in range(NUM_ADVERTISERS):
             assert scalar_out.seeds(advertiser) == batched_out.seeds(advertiser), (
                 f"{name}: engines disagree for advertiser {advertiser}"
@@ -125,27 +141,12 @@ def run(config: dict) -> dict:
             f"{scalar_s / batched_s:6.2f}x"
         )
 
-    section(
-        "cs_greedy",
-        lambda oracle, flag: cs_greedy(
-            instance, oracle, policy=ENGINE_POLICIES[flag]
-        ).allocation,
-    )
-    section(
-        "ca_greedy",
-        lambda oracle, flag: ca_greedy(
-            instance, oracle, policy=ENGINE_POLICIES[flag]
-        ).allocation,
-    )
+    section("cs_greedy", lambda oracle: cs_greedy(instance, oracle).allocation)
+    section("ca_greedy", lambda oracle: ca_greedy(instance, oracle).allocation)
     # One mid-range threshold: exercises the gain-ranked main loop, the
     # single-depletion rescue path and the rate-ranked Fill pass.
     gamma = 0.5 * float(min(instance.cpe(i) for i in range(NUM_ADVERTISERS)))
-    section(
-        "threshold_fill",
-        lambda oracle, flag: threshold_greedy(
-            instance, oracle, gamma, policy=ENGINE_POLICIES[flag]
-        )[0],
-    )
+    section("threshold_fill", lambda oracle: threshold_greedy(instance, oracle, gamma)[0])
 
     sections = results["sections"]
     scalar_total = sum(entry["scalar_s"] for entry in sections.values())

@@ -7,9 +7,10 @@ independent RR-set estimator.
 
 No execution knobs are needed: every entry point defaults to
 ``ExecutionPolicy.fast()`` — SUBSIM RR-set generation (``rr_engine="subsim"``),
-the batched Monte-Carlo cascade engine (``mc_engine="batched"``), vectorized
-CELF seed selection (``greedy_engine="batched"``) and sharding across all
-cores (``n_jobs=-1``).  The later sections show the two knobs that remain:
+the batched Monte-Carlo cascade engine (``mc_engine="batched"``) and sharding
+across all cores (``n_jobs=-1``).  Seed selection needs no knob at all: with
+an RR-set oracle the CELF refreshes are vectorized coverage gathers.  The
+later sections show the two knobs that remain:
 
 * ``ExecutionPolicy.seed()`` — the serial escape hatch that replays the
   original seed tree's RNG streams bit for bit;

@@ -2,9 +2,8 @@
 
 Both baselines run the same budgeted allocation loop and package the same
 :class:`SolverResult`; they differ only in how elements are ranked (marginal
-gain vs. marginal rate).  The scalar loops stay in their own modules —
-mirroring the paper's presentation — but the batched-engine variant and the
-result builder live here so a fix lands once.
+gain vs. marginal rate), so the loop and the result builder live here and a
+fix lands once.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ import numpy as np
 
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
-from repro.advertising.oracle import RevenueOracle, RRSetOracle
-from repro.core.batched_greedy import CoverageGreedyEngine
+from repro.advertising.oracle import RevenueOracle
+from repro.core.batched_greedy import engine_for
 from repro.core.result import SolverResult
-from repro.utils.lazy_heap import BatchedLazyGreedy
+from repro.exceptions import SolverError
 
 
 def greedy_result(
@@ -44,25 +43,31 @@ def greedy_result(
     )
 
 
-def batched_budgeted_allocation(
+def budgeted_allocation(
     instance: RMInstance,
-    oracle: RRSetOracle,
-    budgets: np.ndarray,
+    oracle: RevenueOracle,
+    budgets: Optional[np.ndarray],
     candidates: Optional[Iterable[int]],
     rank_by_rate: bool,
 ) -> Tuple[Allocation, Set[int]]:
-    """The CA/CS-Greedy allocation loop on the batched coverage engine.
+    """The CA/CS-Greedy allocation loop.
 
     ``rank_by_rate`` selects the CS-Greedy ranking (marginal rate) over the
     CA-Greedy one (marginal gain); every other decision — singleton
     feasibility, the assigned/closed filters, the budget accept test and the
-    advertiser-closing rule — is shared.  Decisions see the same floats as
-    the scalar loops, and the heap replays their tie-breaking exactly.
+    advertiser-closing rule — is shared.  An advertiser is closed as soon as
+    its top element no longer fits the budget.  ``budgets`` defaults to the
+    instance budgets.
     """
     h = instance.num_advertisers
+    if oracle.num_advertisers != h:
+        raise SolverError("oracle and instance disagree on the number of advertisers")
+    if budgets is None:
+        budgets = instance.budgets()
+    budgets = np.asarray(budgets, dtype=np.float64)
     n = instance.num_nodes
-    engine = CoverageGreedyEngine(instance, oracle)
-    heap = BatchedLazyGreedy(engine.rates if rank_by_rate else engine.gains)
+    engine = engine_for(instance, oracle)
+    heap = engine.heap(engine.rates if rank_by_rate else engine.gains)
     heap.push_array(engine.feasible_element_keys(budgets, candidates))
 
     allocation = Allocation(h)

@@ -1,7 +1,7 @@
 """The paper's algorithms: oracle-setting solvers, sampling solvers and bounds."""
 
 from repro.core.result import SolverResult, SearchByproducts
-from repro.core.batched_greedy import CoverageGreedyEngine, supports_batched_greedy
+from repro.core.batched_greedy import CoverageGreedyEngine, OracleGreedyEngine, engine_for
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.threshold_greedy import threshold_greedy, fill
 from repro.core.search import search_threshold, gamma_max
@@ -25,7 +25,8 @@ __all__ = [
     "SolverResult",
     "SearchByproducts",
     "CoverageGreedyEngine",
-    "supports_batched_greedy",
+    "OracleGreedyEngine",
+    "engine_for",
     "greedy_single_advertiser",
     "threshold_greedy",
     "fill",

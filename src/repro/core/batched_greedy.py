@@ -1,50 +1,35 @@
-"""Batched lazy-greedy coverage engine — vectorized element evaluation.
+"""Greedy engines — the one evaluation layer every lazy-greedy loop runs on.
 
-Every greedy consumer in the repo (Algorithms 1-3, CA/CS-Greedy, the TI
-baselines' allocation loop) ranks ``(node, advertiser)`` elements by marginal
-gain or marginal rate.  With an :class:`~repro.advertising.oracle.RRSetOracle`
-those marginals are pure maximum-coverage counts, and
-:class:`~repro.rrsets.collection.CoverageState` already maintains the full
-``(h, n)`` marginal matrix incrementally.  The seed code path nevertheless
-routes every (re-)evaluation through a scalar Python callback —
-``oracle.marginal_revenue`` with its frozenset hashing and per-advertiser
-mask caches — which is the last large Python-loop hot path after the RR-set
-and Monte-Carlo engine rewrites.
-
-This module is the glue between those two layers:
+Every greedy consumer in the repo (Algorithms 1-3, ``γ_max``, CA/CS-Greedy)
+ranks ``(node, advertiser)`` elements by marginal gain or marginal rate on a
+:class:`~repro.utils.lazy_heap.BatchedLazyGreedy` heap.  The consumer's loop
+is the same for every oracle; only the engine that evaluates elements
+differs, and :func:`engine_for` picks it from the oracle's type:
 
 * **Element encoding** — an element ``(node, advertiser)`` is the int64 key
   ``advertiser · n + node``, i.e. the *flat index* into both the raveled
   ``(h, n)`` marginal matrix and the raveled ``(h, n)`` seeding-cost matrix.
-  Decoding is one ``divmod``; a batch of keys gathers marginals and costs
-  with plain fancy indexing, no per-element arithmetic.
-* :class:`CoverageGreedyEngine` — owns a fresh
-  :class:`~repro.rrsets.collection.CoverageState` over the oracle's
-  collection plus read-only flat views of the marginal and cost matrices,
-  and exposes the three vectorized evaluators the consumers need
-  (:meth:`gains`, :meth:`rates`, and the feasibility filter
-  :meth:`feasible_element_keys`).  ``add_seed`` forwards to the coverage
-  state, so a subsequent gather sees the updated marginals.
+* :class:`CoverageGreedyEngine` — for an
+  :class:`~repro.advertising.oracle.RRSetOracle`.  Marginals are pure
+  maximum-coverage counts, so the engine owns a fresh
+  :class:`~repro.rrsets.collection.CoverageState` and a batch of stale
+  candidates is refreshed with **one** gather ``scale · marginal[keys]``.
+  Gains are ``scale × integer-count`` exactly like the oracle's own
+  answers, so accept/reject decisions see the oracle's floats.
+* :class:`OracleGreedyEngine` — for every other oracle (Monte-Carlo,
+  exact).  Each key is one ``oracle.marginal_revenue`` call, in key order,
+  against the per-advertiser seed sets ``add_seed`` builds up.  Its heap
+  refreshes one key at a time (``batch_size`` 1), so a Monte-Carlo oracle
+  is queried lazily and in the same order as a plain CELF loop: the
+  oracle's shared RNG stream is consumed identically.
 
-Paired with :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`, a greedy
-round becomes: pop the stale top, refresh it and the next batch of stale
-candidates with **one** gather ``scale · marginal[keys]`` (plus one
-vectorized rate transform for the rate-ranked consumers), and select the
-surviving top element.  Gains are computed as ``scale × integer-count``
-exactly like the scalar oracle path, so accept/reject decisions see
-bit-identical floats, and the batched heap replays the scalar heap's refresh
-schedule and tie-breaking exactly (see :mod:`repro.utils.lazy_heap`) — the
-batched consumers select *identical allocations*, just faster.
-
-The engine requires an :class:`RRSetOracle`; consumers fall back to the seed
-scalar path for Monte-Carlo / exact oracles, where a batch evaluation would
-still be one simulation per element.  Use :func:`supports_batched_greedy` to
-test eligibility.
+Rates use one vectorized transform for both engines, elementwise identical
+(IEEE-754) to the scalar :func:`repro.core.greedy.marginal_rate`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set
 
 import numpy as np
 
@@ -52,91 +37,49 @@ from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle, RRSetOracle
 from repro.exceptions import ProblemDefinitionError
 from repro.rrsets.collection import CoverageState
+from repro.utils.lazy_heap import BatchedLazyGreedy
 
 #: default number of stale candidates refreshed per vectorized gather
 DEFAULT_BATCH_SIZE = 64
 
 
-def supports_batched_greedy(oracle: RevenueOracle, instance: RMInstance) -> bool:
-    """Whether the batched coverage engine can drive this oracle.
+class GreedyEngine:
+    """Shared element encoding, rate transform and feasibility filters.
 
-    True only for an :class:`RRSetOracle` covering at least the instance's
-    advertisers; other oracles have no coverage matrix to gather from.
-    """
-    return (
-        isinstance(oracle, RRSetOracle)
-        and oracle.num_advertisers >= instance.num_advertisers
-    )
-
-
-class CoverageGreedyEngine:
-    """Vectorized marginal evaluation over an RR-set oracle's coverage state.
-
-    Parameters
-    ----------
-    instance:
-        Supplies the ``(h, n)`` seeding-cost matrix and budgets.
-    oracle:
-        The RR-set oracle whose collection backs the coverage state.  The
-        engine builds its own :class:`CoverageState`, so the oracle's caches
-        are left untouched and remain usable for final revenue queries.
+    Subclasses supply the marginal gains (:meth:`gains` / :meth:`gain`),
+    the singleton revenues behind the feasibility filters, :meth:`add_seed`
+    and the heap ``batch_size``.
     """
 
-    def __init__(self, instance: RMInstance, oracle: RRSetOracle):
-        if not supports_batched_greedy(oracle, instance):
-            raise ProblemDefinitionError(
-                "CoverageGreedyEngine requires an RRSetOracle covering the instance"
-            )
-        self._instance = instance
-        self._oracle = oracle
+    batch_size = DEFAULT_BATCH_SIZE
+
+    def __init__(self, instance: RMInstance):
         self._num_nodes = instance.num_nodes
-        self._scale = oracle.scale
-        self._state = CoverageState(oracle.collection)
-        # Flat views sharing the underlying buffers: marginal updates made by
-        # add_seed are visible through _marginal_flat with no re-gather.
-        self._marginal_flat = self._state.marginal_matrix().ravel()
+        self._num_advertisers = instance.num_advertisers
         self._cost_flat = instance.cost_matrix().ravel()
 
-    # ------------------------------------------------------------------ #
-    # element encoding
-    # ------------------------------------------------------------------ #
-    @property
-    def num_nodes(self) -> int:
-        """Number of graph nodes ``n`` (the key-encoding stride)."""
-        return self._num_nodes
-
-    @property
-    def scale(self) -> float:
-        """``nΓ / |R|`` — revenue per covered RR-set (from the oracle)."""
-        return self._scale
-
-    @property
-    def state(self) -> CoverageState:
-        """The engine's private coverage state."""
-        return self._state
-
-    def encode(self, node: int, advertiser: int) -> int:
-        """Flat element key ``advertiser·n + node``."""
-        return advertiser * self._num_nodes + int(node)
-
-    def decode(self, key: int) -> Tuple[int, int]:
-        """Inverse of :meth:`encode` — returns ``(node, advertiser)``."""
-        advertiser, node = divmod(int(key), self._num_nodes)
-        return node, advertiser
-
-    # ------------------------------------------------------------------ #
-    # vectorized evaluators
-    # ------------------------------------------------------------------ #
     def gains(self, keys: np.ndarray) -> np.ndarray:
         """Marginal revenues ``π_i(u | S_i)`` for a batch of element keys."""
-        return self._scale * self._marginal_flat[keys]
+        raise NotImplementedError
+
+    def gain(self, advertiser: int, node: int) -> float:
+        """Marginal revenue of one element — the float the oracle answers."""
+        raise NotImplementedError
+
+    def add_seed(self, advertiser: int, node: int) -> None:
+        """Assign ``node`` to ``advertiser`` for every later evaluation."""
+        raise NotImplementedError
+
+    def _singleton_revenues(self, keys: np.ndarray) -> np.ndarray:
+        """``π_i({u})`` for a batch of keys (the feasibility filters' input)."""
+        raise NotImplementedError
+
+    def heap(self, evaluate: Callable[[np.ndarray], np.ndarray]) -> BatchedLazyGreedy:
+        """A lazy-greedy heap over ``evaluate`` with this engine's batch size."""
+        return BatchedLazyGreedy(evaluate, batch_size=self.batch_size)
 
     def rates(self, keys: np.ndarray) -> np.ndarray:
-        """Marginal rates ``ζ = gain / (cost + gain)`` for a batch of keys.
-
-        Elementwise identical (IEEE-754) to the scalar
-        :func:`repro.core.greedy.marginal_rate` on the same gains/costs.
-        """
+        """Marginal rates ``ζ = gain / (cost + gain)`` for a batch of keys."""
         gains = self.gains(keys)
         positive = gains > 0.0
         rates = np.zeros(gains.shape, dtype=np.float64)
@@ -145,23 +88,10 @@ class CoverageGreedyEngine:
         )
         return rates
 
-    def node_gains(self, advertiser: int, nodes: np.ndarray) -> np.ndarray:
-        """Marginal revenues of ``nodes`` for a single advertiser."""
-        return self.gains(advertiser * self._num_nodes + nodes)
-
     def node_rates(self, advertiser: int, nodes: np.ndarray) -> np.ndarray:
         """Marginal rates of ``nodes`` for a single advertiser."""
         return self.rates(advertiser * self._num_nodes + nodes)
 
-    def gain(self, advertiser: int, node: int) -> float:
-        """Scalar marginal revenue — same float the oracle path computes."""
-        return self._scale * int(
-            self._marginal_flat[advertiser * self._num_nodes + int(node)]
-        )
-
-    # ------------------------------------------------------------------ #
-    # feasibility initialisation
-    # ------------------------------------------------------------------ #
     def candidate_nodes(self, candidates: Optional[Iterable[int]]) -> np.ndarray:
         """Candidate pool as an int64 array (defaults to all nodes), validated."""
         if candidates is None:
@@ -175,16 +105,10 @@ class CoverageGreedyEngine:
     def singleton_feasible_nodes(
         self, advertiser: int, budget: float, candidates: Optional[Iterable[int]] = None
     ) -> np.ndarray:
-        """Nodes whose singleton cost + revenue fits ``budget`` (Line 1 of Alg. 1).
-
-        Singleton revenue is ``scale × membership count`` — the initial
-        marginal matrix — so the filter is one vectorized comparison.
-        """
+        """Nodes whose singleton cost + revenue fits ``budget`` (Line 1 of Alg. 1)."""
         nodes = self.candidate_nodes(candidates)
         keys = advertiser * self._num_nodes + nodes
-        singleton = self._scale * self._oracle.collection.membership_counts().ravel()[keys]
-        mask = self._cost_flat[keys] + singleton <= budget
-        return nodes[mask]
+        return nodes[self._cost_flat[keys] + self._singleton_revenues(keys) <= budget]
 
     def feasible_element_keys(
         self,
@@ -193,34 +117,105 @@ class CoverageGreedyEngine:
     ) -> np.ndarray:
         """All singleton-feasible element keys, advertiser-major.
 
-        Matches the element order of the scalar
-        ``threshold_greedy._candidate_elements`` path (advertiser-major,
-        candidate order within each advertiser), which is behaviour: the lazy
-        heaps break exact ties by insertion order.
+        The order (advertiser-major, candidate order within each advertiser)
+        is behaviour: the heap breaks exact ties by insertion order.
         """
         nodes = self.candidate_nodes(candidates)
-        singleton_counts = self._oracle.collection.membership_counts().ravel()
-        chunks: List[np.ndarray] = []
-        for advertiser in range(self._instance.num_advertisers):
-            keys = advertiser * self._num_nodes + nodes
-            singleton = self._scale * singleton_counts[keys]
-            mask = self._cost_flat[keys] + singleton <= budgets[advertiser]
-            chunks.append(keys[mask])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        advertisers = np.arange(self._num_advertisers, dtype=np.int64)
+        keys = (advertisers[:, None] * self._num_nodes + nodes).ravel()
+        limits = np.repeat(np.asarray(budgets, dtype=np.float64), nodes.size)
+        return keys[self._cost_flat[keys] + self._singleton_revenues(keys) <= limits]
 
-    # ------------------------------------------------------------------ #
-    # state updates
-    # ------------------------------------------------------------------ #
-    def add_seed(self, advertiser: int, node: int) -> int:
-        """Assign ``node`` to ``advertiser``; returns the newly covered count.
 
-        Only RR-sets tagged ``advertiser`` are covered (tags partition the
-        collection), so the other advertisers' marginal rows are untouched.
-        """
-        return self._state.add_seed(advertiser, int(node))
+class CoverageGreedyEngine(GreedyEngine):
+    """Vectorized marginal evaluation over an RR-set oracle's coverage state.
 
-    def revenue_for(self, advertiser: int) -> float:
-        """``scale × covered count`` for one advertiser's accumulated seeds."""
-        return self._scale * self._state.covered_count_for(advertiser)
+    The engine builds its own :class:`CoverageState`, so the oracle's caches
+    are left untouched and remain usable for final revenue queries.
+    """
+
+    def __init__(self, instance: RMInstance, oracle: RRSetOracle):
+        if not _covers(oracle, instance):
+            raise ProblemDefinitionError(
+                "CoverageGreedyEngine requires an RRSetOracle covering the instance"
+            )
+        super().__init__(instance)
+        self._oracle = oracle
+        self._scale = oracle.scale
+        self._state = CoverageState(oracle.collection)
+        # A flat view sharing the state's buffer: marginal updates made by
+        # add_seed are visible through _marginal_flat with no re-gather.
+        self._marginal_flat = self._state.marginal_matrix().ravel()
+
+    def gains(self, keys: np.ndarray) -> np.ndarray:
+        return self._scale * self._marginal_flat[keys]
+
+    def gain(self, advertiser: int, node: int) -> float:
+        return self._scale * int(
+            self._marginal_flat[advertiser * self._num_nodes + int(node)]
+        )
+
+    def _singleton_revenues(self, keys: np.ndarray) -> np.ndarray:
+        # Singleton revenue is scale × membership count: one gather.
+        return self._scale * self._oracle.collection.membership_counts().ravel()[keys]
+
+    def add_seed(self, advertiser: int, node: int) -> None:
+        # Only RR-sets tagged ``advertiser`` are covered (tags partition the
+        # collection), so the other advertisers' marginal rows are untouched.
+        self._state.add_seed(advertiser, int(node))
+
+
+class OracleGreedyEngine(GreedyEngine):
+    """Per-key evaluation through ``oracle.marginal_revenue`` / ``revenue``.
+
+    Keys are evaluated one at a time in key order, against the seed sets
+    :meth:`add_seed` builds up (in insertion order).  ``batch_size`` is 1 so
+    the heap evaluates only the element that surfaced: oracle queries stay
+    lazy, and a Monte-Carlo oracle's shared RNG is drawn in CELF order.
+    """
+
+    batch_size = 1
+
+    def __init__(self, instance: RMInstance, oracle: RevenueOracle):
+        super().__init__(instance)
+        self._oracle = oracle
+        self._seeds: Dict[int, Set[int]] = {
+            advertiser: set() for advertiser in range(instance.num_advertisers)
+        }
+
+    def gain(self, advertiser: int, node: int) -> float:
+        return self._oracle.marginal_revenue(advertiser, int(node), self._seeds[advertiser])
+
+    def gains(self, keys: np.ndarray) -> np.ndarray:
+        n = self._num_nodes
+        return np.array(
+            [self.gain(*divmod(key, n)) for key in keys.tolist()], dtype=np.float64
+        )
+
+    def _singleton_revenues(self, keys: np.ndarray) -> np.ndarray:
+        n = self._num_nodes
+        return np.array(
+            [
+                self._oracle.revenue(advertiser, {node})
+                for advertiser, node in (divmod(key, n) for key in keys.tolist())
+            ],
+            dtype=np.float64,
+        )
+
+    def add_seed(self, advertiser: int, node: int) -> None:
+        self._seeds[advertiser].add(int(node))
+
+
+def _covers(oracle: RevenueOracle, instance: RMInstance) -> bool:
+    return (
+        isinstance(oracle, RRSetOracle)
+        and oracle.num_advertisers >= instance.num_advertisers
+    )
+
+
+def engine_for(instance: RMInstance, oracle: RevenueOracle) -> GreedyEngine:
+    """The engine for ``oracle``: coverage gathers for an RR-set oracle that
+    covers the instance, per-key oracle calls otherwise."""
+    if _covers(oracle, instance):
+        return CoverageGreedyEngine(instance, oracle)
+    return OracleGreedyEngine(instance, oracle)

@@ -60,12 +60,9 @@ def rm_with_oracle(
     candidates:
         Optional candidate node pool (defaults to all nodes).
     policy:
-        :class:`repro.runtime.ExecutionPolicy`; ``greedy_engine="batched"``
-        (the ``fast`` default — ``None`` resolves to
-        :meth:`ExecutionPolicy.fast`) runs every greedy inner loop on the
-        batched coverage engine (:mod:`repro.core.batched_greedy`) —
-        effective only with an RR-set oracle, other oracles keep the seed
-        scalar path.  Both engines select bit-identical allocations.
+        Accepted for a uniform solver signature; no greedy loop depends on
+        it — the evaluator follows the oracle
+        (:func:`repro.core.batched_greedy.engine_for`).
 
     Returns
     -------
@@ -73,9 +70,6 @@ def rm_with_oracle(
         Allocation, revenue (as measured by ``oracle``) and, for ``h ≥ 2``,
         the :class:`SearchByproducts` consumed by ``SeekUB``.
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     h = instance.num_advertisers
     if oracle.num_advertisers != h:
         raise SolverError("oracle and instance disagree on the number of advertisers")
@@ -84,12 +78,7 @@ def rm_with_oracle(
     if h == 1:
         budget = float(budgets[0]) if budgets is not None else None
         best, selected, stopple = greedy_single_advertiser(
-            instance,
-            oracle,
-            0,
-            candidates=candidates,
-            budget=budget,
-            policy=policy,
+            instance, oracle, 0, candidates=candidates, budget=budget
         )
         allocation = Allocation(1)
         for node in best:
@@ -116,7 +105,6 @@ def rm_with_oracle(
         b_min=b_min,
         budgets=budgets,
         candidates=candidates,
-        policy=policy,
     )
     per_advertiser = {
         advertiser: (oracle.revenue(advertiser, seeds) if seeds else 0.0)

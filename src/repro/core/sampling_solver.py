@@ -82,10 +82,10 @@ class SamplingParameters:
         ``π̃(S⃗*, R2) / π̃(S⃗*, R1)`` falls below ``validation_ratio`` on the
         final round, the collections are enlarged once more before returning.
     policy:
-        :class:`repro.runtime.ExecutionPolicy` selecting the engines (RR
-        generator, greedy inner loop) and the ``n_jobs`` sharding.  ``None``
-        defaults to :meth:`ExecutionPolicy.fast` — SUBSIM RR generation,
-        batched MC and greedy engines, all cores.  Pass
+        :class:`repro.runtime.ExecutionPolicy` selecting the RR generator
+        and the ``n_jobs`` sharding.  ``None`` defaults to
+        :meth:`ExecutionPolicy.fast` — SUBSIM RR generation, batched MC,
+        all cores.  Pass
         :meth:`ExecutionPolicy.seed` to pin the serial seed-stream
         reference path.  Fixed ``(seed, policy)`` runs are
         bit-reproducible; ``n_jobs>1`` draws different RNG substreams than
@@ -238,7 +238,6 @@ def _rm_without_oracle_impl(
             oracle_one,
             tau=params.tau,
             budgets=relaxed_budgets,
-            policy=policy,
         )
         allocation = inner.allocation
         revenue_r1 = inner.revenue
@@ -354,7 +353,6 @@ def one_batch_rm(
         oracle,
         tau=params.tau,
         budgets=relaxed_budgets,
-        policy=policy,
     )
     result = SolverResult(
         allocation=inner.allocation,

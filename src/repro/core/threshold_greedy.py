@@ -21,19 +21,13 @@ import numpy as np
 
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
-from repro.advertising.oracle import RevenueOracle, RRSetOracle
-from repro.core.batched_greedy import (
-    CoverageGreedyEngine,
-    supports_batched_greedy,
-)
+from repro.advertising.oracle import RevenueOracle
+from repro.core.batched_greedy import engine_for
 from repro.core.greedy import greedy_single_advertiser, marginal_rate
-from repro.exceptions import ProblemDefinitionError, SolverError
-from repro.utils.lazy_heap import BatchedLazyGreedy, LazyMarginalHeap
+from repro.exceptions import SolverError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import ExecutionPolicy
-
-Element = Tuple[int, int]  # (node, advertiser)
 
 
 class _GreedyState:
@@ -44,9 +38,8 @@ class _GreedyState:
     partition constraint can be checked in O(1).
     """
 
-    def __init__(self, instance: RMInstance, oracle: RevenueOracle, budgets: np.ndarray):
+    def __init__(self, instance: RMInstance, budgets: np.ndarray):
         self.instance = instance
-        self.oracle = oracle
         self.budgets = budgets
         h = instance.num_advertisers
         self.selected: Dict[int, Set[int]] = {i: set() for i in range(h)}
@@ -55,19 +48,9 @@ class _GreedyState:
         self.cost: Dict[int, float] = {i: 0.0 for i in range(h)}
         self.assigned: Set[int] = set()
 
-    def marginal_gain(self, node: int, advertiser: int) -> float:
-        """``π_i(u | S_i)`` for the current ``S_i``."""
-        return self.oracle.marginal_revenue(advertiser, node, self.selected[advertiser])
-
-    def try_add(self, node: int, advertiser: int, gain: Optional[float] = None) -> str:
-        """Attempt to add ``(node, advertiser)``; returns 'selected' or 'stopple'.
-
-        ``gain`` lets the batched path pass the coverage-derived marginal it
-        already holds (the same float the oracle would return) instead of a
-        redundant oracle query.
-        """
-        if gain is None:
-            gain = self.marginal_gain(node, advertiser)
+    def try_add(self, node: int, advertiser: int, gain: float) -> str:
+        """Attempt to add ``(node, advertiser)`` with marginal revenue ``gain``;
+        returns 'selected' or 'stopple'."""
         node_cost = self.instance.cost(advertiser, node)
         new_cost = self.cost[advertiser] + node_cost
         new_revenue = self.revenue[advertiser] + gain
@@ -80,53 +63,6 @@ class _GreedyState:
         self.stopple[advertiser].add(node)
         self.assigned.add(node)
         return "stopple"
-
-
-def _candidate_elements(
-    instance: RMInstance,
-    oracle: RevenueOracle,
-    budgets: np.ndarray,
-    candidates: Optional[Iterable[int]],
-) -> list[Element]:
-    """The initial set ``M`` of singleton-feasible (node, advertiser) pairs.
-
-    For an :class:`~repro.advertising.oracle.RRSetOracle` all ``h·n``
-    singleton revenues come from one pass over the collection's membership
-    counts (``scale · #{R tagged i : u ∈ R}``), so the feasibility filter is
-    a vectorised comparison instead of ``h·n`` oracle queries.  The element
-    order (advertiser-major, candidate order) matches the scalar path — the
-    lazy heap breaks ties by insertion order, so ordering is behaviour.
-    """
-    nodes = (
-        [int(node) for node in candidates]
-        if candidates is not None
-        else list(range(instance.num_nodes))
-    )
-    elements: list[Element] = []
-    if isinstance(oracle, RRSetOracle) and oracle.num_advertisers >= instance.num_advertisers:
-        node_array = np.asarray(nodes, dtype=np.int64)
-        if node_array.size and (
-            node_array.min() < 0 or node_array.max() >= instance.num_nodes
-        ):
-            bad = node_array[(node_array < 0) | (node_array >= instance.num_nodes)][0]
-            raise ProblemDefinitionError(f"node {bad} out of range")
-        singleton_revenue = oracle.scale * oracle.collection.membership_counts()
-        costs = instance.cost_matrix()
-        for advertiser in range(instance.num_advertisers):
-            feasible = (
-                costs[advertiser, node_array] + singleton_revenue[advertiser, node_array]
-                <= budgets[advertiser]
-            )
-            elements.extend(
-                (node, advertiser) for node in node_array[feasible].tolist()
-            )
-        return elements
-    for advertiser in range(instance.num_advertisers):
-        for node in nodes:
-            singleton_revenue = oracle.revenue(advertiser, {node})
-            if instance.cost(advertiser, node) + singleton_revenue <= budgets[advertiser]:
-                elements.append((node, advertiser))
-    return elements
 
 
 def threshold_greedy(
@@ -153,16 +89,10 @@ def threshold_greedy(
         Whether to run the final ``Fill`` pass (Line 12).  Disabled only by
         ablation benchmarks.
     policy:
-        :class:`repro.runtime.ExecutionPolicy`; ``greedy_engine="batched"``
-        (the ``fast`` default — ``None`` resolves to
-        :meth:`ExecutionPolicy.fast`) drives the element heap through the
-        batched coverage engine (:mod:`repro.core.batched_greedy`) — RR-set
-        oracles only, falls back to the seed scalar path otherwise.
-        Bit-identical allocations.
+        Accepted for a uniform solver signature; no greedy loop depends on
+        it — the evaluator follows the oracle
+        (:func:`repro.core.batched_greedy.engine_for`).
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     if gamma < 0:
         raise SolverError("gamma must be non-negative")
     h = instance.num_advertisers
@@ -174,78 +104,48 @@ def threshold_greedy(
     if np.any(budget_array <= 0):
         raise SolverError("budgets must be positive")
 
-    state = _GreedyState(instance, oracle, budget_array)
+    state = _GreedyState(instance, budget_array)
     depleted: Set[int] = set()
-    batched = policy.greedy_engine == "batched" and supports_batched_greedy(oracle, instance)
+    engine = engine_for(instance, oracle)
+    n = instance.num_nodes
+    heap = engine.heap(engine.gains)
+    heap.push_array(engine.feasible_element_keys(budget_array, candidates))
 
-    if batched:
-        engine = CoverageGreedyEngine(instance, oracle)
-        n = instance.num_nodes
-        heap_b = BatchedLazyGreedy(engine.gains)
-        heap_b.push_array(engine.feasible_element_keys(budget_array, candidates))
-        # Main loop (Lines 3-8), batched: pop by max marginal gain refreshed
-        # through one coverage gather per stale batch, same three filters.
-        while len(heap_b) and len(depleted) < h:
-            popped_b = heap_b.pop_best()
-            if popped_b is None:
-                break
-            key, _stale_gain = popped_b
-            advertiser, node = divmod(key, n)
-            if state.stopple[advertiser]:
-                continue
-            gain = engine.gain(advertiser, node)
-            rate = marginal_rate(gain, instance.cost(advertiser, node))
-            if rate < gamma / budget_array[advertiser]:
-                continue
-            if node in state.assigned:
-                continue
-            outcome = state.try_add(node, advertiser, gain=gain)
-            if outcome == "selected":
-                engine.add_seed(advertiser, node)
-                heap_b.advance_round()
-            else:
-                depleted.add(advertiser)
-    else:
-
-        def evaluate(element: Element) -> float:
-            node, advertiser = element
-            return state.marginal_gain(node, advertiser)
-
-        heap: LazyMarginalHeap[Element] = LazyMarginalHeap(evaluate)
-        heap.push_many(_candidate_elements(instance, oracle, budget_array, candidates))
-
-        # Main loop (Lines 3-8): pop by max marginal gain, apply the three filters.
-        while len(heap) and len(depleted) < h:
-            popped = heap.pop_best()
-            if popped is None:
-                break
-            (node, advertiser), _gain = popped
-            # Filter 1: threshold on the marginal rate w.r.t. S_i ∪ D_i, and skip
-            # advertisers whose budget is already depleted (D_i non-empty).
-            if state.stopple[advertiser]:
-                continue
-            gain = state.marginal_gain(node, advertiser)
-            rate = marginal_rate(gain, instance.cost(advertiser, node))
-            if rate < gamma / budget_array[advertiser]:
-                continue
-            # Filter 2: the node must not be assigned to any advertiser yet.
-            if node in state.assigned:
-                continue
-            outcome = state.try_add(node, advertiser)
-            if outcome == "selected":
-                heap.advance_round()
-            else:
-                depleted.add(advertiser)
+    # Main loop (Lines 3-8): pop by max marginal gain, apply the three filters.
+    while len(heap) and len(depleted) < h:
+        popped = heap.pop_best()
+        if popped is None:
+            break
+        key, _stale_gain = popped
+        advertiser, node = divmod(key, n)
+        # Filter 1: threshold on the marginal rate w.r.t. S_i ∪ D_i, and skip
+        # advertisers whose budget is already depleted (D_i non-empty).
+        if state.stopple[advertiser]:
+            continue
+        gain = engine.gain(advertiser, node)
+        rate = marginal_rate(gain, instance.cost(advertiser, node))
+        if rate < gamma / budget_array[advertiser]:
+            continue
+        # Filter 2: the node must not be assigned to any advertiser yet.
+        if node in state.assigned:
+            continue
+        outcome = state.try_add(node, advertiser, gain)
+        if outcome == "selected":
+            engine.add_seed(advertiser, node)
+            heap.advance_round()
+        else:
+            depleted.add(advertiser)
 
     # Line 9-10: when exactly one budget is depleted, re-run Greedy for it on
     # the still-unassigned nodes; its result backs the b = 1 case of Thm 3.2.
     rescue: Dict[int, Set[int]] = {i: set() for i in range(h)}
     if len(depleted) == 1:
         advertiser = next(iter(depleted))
+        selected_nodes = set().union(*state.selected.values())
         unassigned = [
             node
             for node in (candidates if candidates is not None else range(instance.num_nodes))
-            if int(node) not in set().union(*state.selected.values())
+            if int(node) not in selected_nodes
         ]
         best, _selected, _stopple = greedy_single_advertiser(
             instance,
@@ -253,7 +153,6 @@ def threshold_greedy(
             advertiser,
             candidates=unassigned,
             budget=float(budget_array[advertiser]),
-            policy=policy,
         )
         rescue[advertiser] = best
 
@@ -278,12 +177,7 @@ def threshold_greedy(
 
     if run_fill:
         allocation = fill(
-            instance,
-            oracle,
-            allocation,
-            budgets=budget_array,
-            candidates=candidates,
-            policy=policy,
+            instance, oracle, allocation, budgets=budget_array, candidates=candidates
         )
     return allocation, len(depleted)
 
@@ -317,14 +211,9 @@ def fill(
     """Algorithm 3 — greedily spend leftover budget by maximum marginal rate.
 
     Returns a new allocation extending ``allocation`` (the input is copied,
-    not mutated).  ``policy.greedy_engine == "batched"`` (the ``fast``
-    default — ``None`` resolves to :meth:`ExecutionPolicy.fast`) selects
-    the batched coverage engine (RR-set oracles only; falls back to the
-    scalar path otherwise).
+    not mutated).  ``policy`` is accepted for a uniform solver signature; the
+    evaluator follows the oracle.
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     h = instance.num_advertisers
     budget_array = (
         np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
@@ -335,62 +224,17 @@ def fill(
     result = allocation.copy()
     revenue: Dict[int, float] = {}
     cost: Dict[int, float] = {}
+    # Replay the incoming allocation into the engine so element gains are
+    # marginals w.r.t. the seeds Fill starts from.
+    engine = engine_for(instance, oracle)
     for advertiser, seeds in result.items():
         revenue[advertiser] = oracle.revenue(advertiser, seeds) if seeds else 0.0
         cost[advertiser] = instance.cost_of_set(advertiser, seeds)
-
-    if policy.greedy_engine == "batched" and supports_batched_greedy(oracle, instance):
-        return _fill_batched(
-            instance, oracle, result, budget_array, candidates, revenue, cost
-        )
-
-    def evaluate(element: Element) -> float:
-        node, advertiser = element
-        gain = oracle.marginal_revenue(advertiser, node, result.seeds(advertiser))
-        return marginal_rate(gain, instance.cost(advertiser, node))
-
-    heap: LazyMarginalHeap[Element] = LazyMarginalHeap(evaluate)
-    heap.push_many(_candidate_elements(instance, oracle, budget_array, candidates))
-
-    while len(heap):
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        (node, advertiser), _rate = popped
-        if result.is_assigned(node):
-            continue
-        gain = oracle.marginal_revenue(advertiser, node, result.seeds(advertiser))
-        node_cost = instance.cost(advertiser, node)
-        if cost[advertiser] + node_cost + revenue[advertiser] + gain <= budget_array[advertiser]:
-            result.assign(node, advertiser)
-            revenue[advertiser] += gain
-            cost[advertiser] += node_cost
-            heap.advance_round()
-    return result
-
-
-def _fill_batched(
-    instance: RMInstance,
-    oracle: RevenueOracle,
-    result: Allocation,
-    budget_array: np.ndarray,
-    candidates: Optional[Iterable[int]],
-    revenue: Dict[int, float],
-    cost: Dict[int, float],
-) -> Allocation:
-    """Algorithm 3 on the batched coverage engine (rate-ranked elements).
-
-    The engine's fresh coverage state is replayed to the incoming partial
-    allocation first, so element gains are marginals w.r.t. the seeds Fill
-    starts from — the same quantities the scalar path queries the oracle for.
-    """
-    engine = CoverageGreedyEngine(instance, oracle)
-    n = instance.num_nodes
-    for advertiser, seeds in result.items():
         for node in seeds:
-            engine.add_seed(advertiser, int(node))
+            engine.add_seed(advertiser, node)
 
-    heap = BatchedLazyGreedy(engine.rates)
+    n = instance.num_nodes
+    heap = engine.heap(engine.rates)
     heap.push_array(engine.feasible_element_keys(budget_array, candidates))
 
     while len(heap):

@@ -2,8 +2,8 @@
 
 This package is the single source of truth for *how* the library executes:
 
-* :class:`ExecutionPolicy` — a frozen dataclass selecting the RR / MC /
-  greedy engines, the ``n_jobs`` sharding knob and the MC batch size, with
+* :class:`ExecutionPolicy` — a frozen dataclass selecting the RR / MC
+  engines, the ``n_jobs`` sharding knob and the MC batch size, with
   named presets: :meth:`ExecutionPolicy.fast` (the default every entry point
   resolves when no policy is given) and :meth:`ExecutionPolicy.seed` (the
   bit-reproducible escape hatch);

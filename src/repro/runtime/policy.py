@@ -1,21 +1,22 @@
 """The :class:`ExecutionPolicy` — one object for every engine knob.
 
-Four engine generations (vectorized RR, batched MC, batched greedy, sharded
-parallel) each started life behind an opt-in flag; the policy object is the
-single source of truth that replaced that sprawl:
+The engine generations (vectorized RR, batched MC, sharded parallel) each
+started life behind an opt-in flag; the policy object is the single source
+of truth that replaced that sprawl:
 
-* **engine selection** — ``rr_engine`` (``"legacy"`` | ``"subsim"``),
-  ``mc_engine`` (``"legacy"`` | ``"batched"``), ``greedy_engine``
-  (``"scalar"`` | ``"batched"``);
+* **engine selection** — ``rr_engine`` (``"legacy"`` | ``"subsim"``) and
+  ``mc_engine`` (``"legacy"`` | ``"batched"``);
 * **parallelism** — ``n_jobs`` (scikit-learn convention: ``None`` → serial,
   ``-1`` → all cores) and ``mc_batch_size`` (cascades per batch of the
   batched MC engine; ``None`` → bitmap-budget sizing);
 * **RNG contract** — ``rng_compat`` declares whether the policy reproduces
   the seed tree's RNG streams bit for bit.  It is derived automatically
-  (legacy RR + legacy MC + serial execution ⇒ compatible; the batched greedy
-  engine is bit-identical by construction, so it never breaks compatibility)
-  and validated when set explicitly, so a policy can never silently claim a
-  guarantee it does not have.
+  (legacy RR + legacy MC + serial execution ⇒ compatible) and validated when
+  set explicitly, so a policy can never silently claim a guarantee it does
+  not have.
+
+The greedy loops have no knob: the evaluator follows the oracle
+(:func:`repro.core.batched_greedy.engine_for`).
 
 Named presets cover the two interesting points of the space:
 :meth:`ExecutionPolicy.fast` (every fast engine + all cores — **the
@@ -39,7 +40,6 @@ from repro.parallel.failure import DEFAULT_FAILURE_POLICY, FailurePolicy
 #: Valid engine names per stage.
 RR_ENGINES = ("legacy", "subsim")
 MC_ENGINES = ("legacy", "batched")
-GREEDY_ENGINES = ("scalar", "batched")
 
 #: Execution modes for incremental RR-store maintenance
 #: (:meth:`repro.rrsets.store.RRStore.apply_deltas`): ``"pool"`` shards
@@ -69,11 +69,6 @@ class ExecutionPolicy:
         BFS, seed-stream compatible) or ``"batched"`` (level-synchronous
         batched engine, ~an order of magnitude faster, statistically
         equivalent).
-    greedy_engine:
-        Greedy inner loops: ``"scalar"`` (per-element oracle callbacks) or
-        ``"batched"`` (vectorized CELF refreshes; **bit-identical
-        allocations**, it replays the scalar heap's refresh schedule and
-        tie-breaking exactly).
     n_jobs:
         Worker-process count for the sharded stages (``None`` → serial,
         ``-1`` → all cores, positive int → that many shards).  Fixed
@@ -114,7 +109,6 @@ class ExecutionPolicy:
 
     rr_engine: str = "legacy"
     mc_engine: str = "legacy"
-    greedy_engine: str = "scalar"
     n_jobs: Optional[int] = None
     mc_batch_size: Optional[int] = None
     rng_compat: Optional[bool] = None
@@ -130,10 +124,6 @@ class ExecutionPolicy:
         if self.mc_engine not in MC_ENGINES:
             raise PolicyError(
                 f"mc_engine must be one of {MC_ENGINES}, got {self.mc_engine!r}"
-            )
-        if self.greedy_engine not in GREEDY_ENGINES:
-            raise PolicyError(
-                f"greedy_engine must be one of {GREEDY_ENGINES}, got {self.greedy_engine!r}"
             )
         validate_n_jobs(self.n_jobs, PolicyError)
         if self.mc_batch_size is not None and int(self.mc_batch_size) <= 0:
@@ -195,15 +185,14 @@ class ExecutionPolicy:
         n_jobs: Optional[int] = -1,
         failure: Optional[FailurePolicy] = None,
     ) -> "ExecutionPolicy":
-        """The default policy: every fast engine — SUBSIM RR, batched MC,
-        batched greedy — plus all cores (override with ``n_jobs``).
+        """The default policy: every fast engine — SUBSIM RR, batched MC —
+        plus all cores (override with ``n_jobs``).
         Statistically equivalent to :meth:`seed`, not bit-identical (see the
         RNG policy in ``docs/architecture.md``).  ``failure`` overrides the
         fault-tolerance behaviour of the sharded stages."""
         return cls(
             rr_engine="subsim",
             mc_engine="batched",
-            greedy_engine="batched",
             n_jobs=n_jobs,
             failure=failure if failure is not None else DEFAULT_FAILURE_POLICY,
         )
@@ -249,8 +238,7 @@ class ExecutionPolicy:
         upkeep = "" if self.maintenance == "pool" else f" maintenance={self.maintenance}"
         transport = "" if self.payload == "auto" else f" payload={self.payload}"
         return (
-            f"{name}rr={self.rr_engine} mc={self.mc_engine} "
-            f"greedy={self.greedy_engine} n_jobs={jobs}{batch} "
+            f"{name}rr={self.rr_engine} mc={self.mc_engine} n_jobs={jobs}{batch} "
             f"rng_compat={'yes' if self.rng_compat else 'no'}{fail}{upkeep}"
             f"{transport}"
         )

@@ -1,7 +1,7 @@
-"""Shared utilities: RNG management, lazy-greedy heaps, timers and logging."""
+"""Shared utilities: RNG management, the lazy-greedy heap, timers and logging."""
 
 from repro.utils.rng import RandomSource, as_rng, spawn_rngs
-from repro.utils.lazy_heap import BatchedLazyGreedy, LazyMarginalHeap, HeapEntry
+from repro.utils.lazy_heap import BatchedLazyGreedy
 from repro.utils.resources import peak_rss_bytes, peak_rss_mib
 from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
@@ -16,8 +16,6 @@ __all__ = [
     "as_rng",
     "spawn_rngs",
     "BatchedLazyGreedy",
-    "LazyMarginalHeap",
-    "HeapEntry",
     "Timer",
     "timed",
     "peak_rss_bytes",

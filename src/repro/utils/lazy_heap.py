@@ -1,4 +1,4 @@
-"""Lazy-greedy (CELF-style) priority queues — scalar and batched.
+"""Lazy-greedy (CELF-style) priority queue over int64-encoded elements.
 
 The greedy algorithms in the paper repeatedly select the element with the
 largest marginal gain (or marginal rate) of a monotone submodular function.
@@ -7,159 +7,33 @@ stored in a max-heap is still an upper bound; re-evaluating only the current
 top element ("lazy evaluation", Leskovec et al. 2007 / CELF) gives exactly the
 same selections as the eager arg-max while avoiding most re-evaluations.
 
-Two implementations of this pattern are provided:
+:class:`BatchedLazyGreedy` is the one heap every greedy consumer runs on.
+Stale entries are popped in surfacing order up to ``batch_size`` at a time
+and refreshed with **one** call to a vectorized ``batch_evaluate`` (for the
+RR-set consumers, a single numpy gather against the ``(h, n)`` marginal
+matrix of :class:`~repro.rrsets.collection.CoverageState`) instead of K
+Python callback round-trips.  Bulk insertion (``push_array``) likewise
+evaluates the whole candidate set in one call and heapifies once.
 
-* :class:`LazyMarginalHeap` — the reference scalar heap over hashable keys.
-  Every insert and every stale refresh is one Python callback; this is the
-  seed implementation and stays the default in every consumer.
-* :class:`BatchedLazyGreedy` — the vectorized variant over int64-encoded
-  elements.  Stale entries are popped in surfacing order up to ``batch_size``
-  at a time and refreshed with **one** call to a vectorized ``batch_evaluate``
-  (for the RR-set consumers, a single numpy gather against the
-  ``(h, n)`` marginal matrix of
-  :class:`~repro.rrsets.collection.CoverageState`) instead of K Python
-  callback round-trips.  Bulk insertion (``push_array``) likewise evaluates
-  the whole candidate set in one call and heapifies once.
-
-The batched heap *replays the scalar heap's schedule exactly*: speculative
-batch evaluations are cached, but each refresh is committed one entry at a
-time in surfacing order with the same counter sequence the scalar heap would
-assign, so ties between equal values resolve identically and the two heaps
-produce bit-identical pop sequences — provided ``batch_evaluate`` is pure
+The heap *replays the plain CELF schedule exactly*: speculative batch
+evaluations are cached, but each refresh is committed one entry at a time in
+surfacing order with the counter sequence a one-at-a-time heap would assign,
+so ties between equal values resolve by insertion order and the pop sequence
+does not depend on ``batch_size`` — provided ``batch_evaluate`` is pure
 (values only change together with ``advance_round``, which every greedy
-consumer guarantees by advancing immediately after each accepted seed) and
-elements are inserted in the same order.
-``tests/test_greedy_engine_equivalence.py`` pins this across all consumers.
+consumer guarantees by advancing immediately after each accepted seed).
+With ``batch_size=1`` only the surfacing entry is evaluated, which keeps
+impure evaluators (a Monte-Carlo oracle drawing from a shared RNG) lazy and
+in CELF order.  The test suite pins the schedule against a scalar reference
+heap kept in ``tests/reference/lazy_heap.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
-
-KeyT = TypeVar("KeyT", bound=Hashable)
-
-
-@dataclass(order=True)
-class HeapEntry(Generic[KeyT]):
-    """Internal heap record; ordered by ``(-value, tiebreak)`` for a max-heap."""
-
-    sort_key: Tuple[float, int]
-    key: KeyT = field(compare=False)
-    value: float = field(compare=False)
-    round_evaluated: int = field(compare=False)
-
-
-class LazyMarginalHeap(Generic[KeyT]):
-    """Max-heap with lazy re-evaluation of marginal values.
-
-    Parameters
-    ----------
-    evaluate:
-        Callable returning the *current* marginal value of a key.  It is
-        invoked at insert time and whenever a stale top-of-heap entry needs to
-        be refreshed.
-    """
-
-    def __init__(self, evaluate: Callable[[KeyT], float]):
-        self._evaluate = evaluate
-        self._heap: list[HeapEntry[KeyT]] = []
-        self._removed: set[KeyT] = set()
-        self._round = 0
-        self._counter = itertools.count()
-        self._members: Dict[KeyT, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, key: KeyT) -> bool:
-        return key in self._members
-
-    def push(self, key: KeyT, value: Optional[float] = None) -> None:
-        """Insert ``key``; if ``value`` is None it is computed via ``evaluate``."""
-        if key in self._removed:
-            self._removed.discard(key)
-        actual = self._evaluate(key) if value is None else value
-        entry = HeapEntry(
-            sort_key=(-actual, next(self._counter)),
-            key=key,
-            value=actual,
-            round_evaluated=self._round,
-        )
-        heapq.heappush(self._heap, entry)
-        self._members[key] = actual
-
-    def push_many(self, keys: Iterable[KeyT]) -> None:
-        """Insert every key in ``keys`` with freshly evaluated values."""
-        for key in keys:
-            self.push(key)
-
-    def remove(self, key: KeyT) -> None:
-        """Mark ``key`` as removed; it will be skipped when it surfaces."""
-        if key in self._members:
-            del self._members[key]
-            self._removed.add(key)
-
-    def advance_round(self) -> None:
-        """Signal that the underlying solution changed.
-
-        Entries evaluated before this call are considered stale and will be
-        re-evaluated when they reach the top of the heap.
-        """
-        self._round += 1
-
-    def pop_best(self) -> Optional[Tuple[KeyT, float]]:
-        """Pop the key with the largest *current* marginal value.
-
-        Returns ``None`` when the heap is empty.  The popped key is removed
-        from the heap; callers re-insert it if they decide not to use it.
-        """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            key = entry.key
-            if key in self._removed:
-                self._removed.discard(key)
-                continue
-            if key not in self._members:
-                continue
-            if entry.round_evaluated == self._round:
-                del self._members[key]
-                return key, entry.value
-            # Stale: re-evaluate and push back.
-            fresh = self._evaluate(key)
-            refreshed = HeapEntry(
-                sort_key=(-fresh, next(self._counter)),
-                key=key,
-                value=fresh,
-                round_evaluated=self._round,
-            )
-            heapq.heappush(self._heap, refreshed)
-            self._members[key] = fresh
-        return None
-
-    def peek_best(self) -> Optional[Tuple[KeyT, float]]:
-        """Return (but do not remove) the key with the largest current value."""
-        best = self.pop_best()
-        if best is None:
-            return None
-        key, value = best
-        self.push(key, value)
-        return key, value
 
 
 class BatchedLazyGreedy:
@@ -176,18 +50,18 @@ class BatchedLazyGreedy:
     batch_size:
         Maximum number of stale entries refreshed per evaluation call.
 
-    Semantics are *bit-identical* to :class:`LazyMarginalHeap` (same
-    insertion order, pure ``batch_evaluate``): ``advance_round`` marks every
-    entry stale, ``pop_best`` returns the element with the largest current
-    value, popped keys leave the heap, and exact value ties resolve in the
-    same order.  Identity is achieved by separating *speculation* from
-    *commitment*: when a stale entry surfaces, the next ``batch_size`` stale
-    candidates in surfacing order are evaluated in one vectorized call and
-    cached, but each refresh is committed one entry at a time exactly when
-    (and only when) the scalar heap would perform it, drawing the same
-    counter sequence.  Speculative values the scalar schedule never demands
-    are simply discarded — evaluation is a pure gather, so over-evaluating
-    costs vector width, not correctness.
+    ``advance_round`` marks every entry stale, ``pop_best`` returns the
+    element with the largest current value, popped keys leave the heap, and
+    exact value ties resolve by insertion order.  The schedule is the plain
+    one-at-a-time CELF schedule whatever the batch size, because
+    *speculation* is separated from *commitment*: when a stale entry
+    surfaces, the next ``batch_size`` stale candidates in surfacing order
+    are evaluated in one vectorized call and cached, but each refresh is
+    committed one entry at a time exactly when (and only when) a
+    one-at-a-time heap would perform it, drawing the same counter sequence.
+    Speculative values the schedule never demands are simply discarded —
+    evaluation is a pure gather, so over-evaluating costs vector width, not
+    correctness.
 
     The purity contract: values returned by ``batch_evaluate`` may only
     change together with an ``advance_round`` call (every greedy consumer
@@ -244,7 +118,7 @@ class BatchedLazyGreedy:
 
         When the heap is empty this heapifies once instead of pushing one
         entry at a time.  Ties between equal values resolve by insertion
-        order, exactly like repeated :meth:`LazyMarginalHeap.push` calls.
+        order, exactly like one push per key.
         """
         key_array = np.ascontiguousarray(keys, dtype=np.int64)
         if key_array.size == 0:
@@ -292,7 +166,7 @@ class BatchedLazyGreedy:
         them and pushed back *unchanged* — a cached value only becomes a
         committed refresh when the entry itself surfaces in
         :meth:`pop_best`, which is what keeps the schedule (and the
-        tie-breaking counters) identical to the scalar heap's.
+        tie-breaking counters) independent of the batch size.
         """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -323,8 +197,8 @@ class BatchedLazyGreedy:
     def pop_best(self) -> Optional[Tuple[int, float]]:
         """Pop the key with the largest current marginal value (or ``None``).
 
-        Pop/skip/refresh decisions replay :meth:`LazyMarginalHeap.pop_best`
-        step for step; only the *evaluations* are batched (see
+        Pop/skip/refresh decisions follow the one-at-a-time CELF heap step
+        for step; only the *evaluations* are batched (see
         :meth:`_speculate`).
         """
         heap = self._heap
@@ -341,7 +215,7 @@ class BatchedLazyGreedy:
             if entry[3] == self._round:
                 del members[key]
                 return key, -entry[0]
-            # Stale: commit a refresh exactly like the scalar heap would.
+            # Stale: commit a refresh exactly like a one-at-a-time heap would.
             value = pending.get(key)
             if value is None:
                 value = self._speculate(key)
@@ -349,12 +223,3 @@ class BatchedLazyGreedy:
             self._next_counter += 1
             members[key] = value
         return None
-
-    def peek_best(self) -> Optional[Tuple[int, float]]:
-        """Return (but do not remove) the key with the largest current value."""
-        best = self.pop_best()
-        if best is None:
-            return None
-        key, value = best
-        self.push_array(np.array([key], dtype=np.int64), np.array([value]))
-        return key, value

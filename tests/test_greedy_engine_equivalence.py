@@ -1,30 +1,32 @@
-"""Scalar-vs-batched equivalence proofs for the lazy-greedy coverage engine.
+"""Coverage-engine-vs-oracle-engine equivalence proofs for the greedy loops.
 
-The batched engine (:class:`repro.utils.lazy_heap.BatchedLazyGreedy` driving
-:mod:`repro.core.batched_greedy`) claims *bit-identical selections* to the
-seed scalar path: it replays the scalar heap's refresh schedule and
-tie-breaking exactly, only the evaluations are vectorized.  These tests pin
-that claim at the heap level (identical pop sequences under scripted value
-decay) and end to end through every greedy consumer — Algorithm 1,
-ThresholdGreedy + Fill, RM_with_Oracle, CA/CS-Greedy, the TI baselines and
-the RMA sampling solver — plus the silent fallback for non-RR-set oracles.
+Every greedy consumer runs one loop on
+:class:`repro.utils.lazy_heap.BatchedLazyGreedy`; only the evaluator differs
+(:func:`repro.core.batched_greedy.engine_for`).  An RR-set oracle gets the
+vectorized :class:`CoverageGreedyEngine`, every other oracle the per-key
+:class:`OracleGreedyEngine`.  On the same RR-set collection the two must
+select *identical allocations*: the coverage gathers return the oracle's own
+floats and the heap's schedule does not depend on the batch size.  These
+tests pin that claim at the heap level (the batched heap against the scalar
+reference heap in ``tests/reference``) and end to end through every greedy
+consumer — Algorithm 1, ThresholdGreedy + Fill, ``γ_max``, RM_with_Oracle,
+CA/CS-Greedy and the RMA sampling solvers.  The oracle engine is forced
+with :class:`_Delegating`, a plain :class:`RevenueOracle` that forwards to
+the RR-set oracle.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from reference.lazy_heap import LazyMarginalHeap
 from repro.advertising.advertiser import Advertiser
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
-from repro.advertising.oracle import MonteCarloOracle, RRSetOracle
+from repro.advertising.oracle import MonteCarloOracle, RevenueOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
 from repro.baselines.cs_greedy import cs_greedy
-from repro.baselines.ti_carm import ti_carm
-from repro.baselines.ti_common import TIParameters
-from repro.baselines.ti_csrm import ti_csrm
-from repro.core.batched_greedy import CoverageGreedyEngine, supports_batched_greedy
+from repro.core import batched_greedy
+from repro.core.batched_greedy import CoverageGreedyEngine, OracleGreedyEngine, engine_for
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.oracle_solver import rm_with_oracle
 from repro.core.sampling_solver import SamplingParameters, one_batch_rm, rm_without_oracle
@@ -39,14 +41,27 @@ from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator
 from repro.runtime import ExecutionPolicy
-from repro.utils.lazy_heap import BatchedLazyGreedy, LazyMarginalHeap
+from repro.utils.lazy_heap import BatchedLazyGreedy
 
 MODELS = [IndependentCascadeModel, WeightedCascadeModel, TrivalencyModel]
 
-# Pin everything but the greedy engine so each pair differs in exactly one
-# dimension: the scalar heap vs the batched coverage engine.
-SCALAR = ExecutionPolicy.seed()
-BATCHED = ExecutionPolicy(greedy_engine="batched")
+
+class _Delegating(RevenueOracle):
+    """Forwards every query to ``inner``; not an RR-set oracle, so the
+    consumers run on the per-key oracle engine."""
+
+    def __init__(self, inner: RevenueOracle):
+        self._inner = inner
+
+    @property
+    def num_advertisers(self) -> int:
+        return self._inner.num_advertisers
+
+    def revenue(self, advertiser, seeds):
+        return self._inner.revenue(advertiser, seeds)
+
+    def marginal_revenue(self, advertiser, node, seeds):
+        return self._inner.marginal_revenue(advertiser, node, seeds)
 
 
 @pytest.fixture(scope="module")
@@ -156,24 +171,13 @@ def test_batched_heap_batches_evaluations():
     assert heap.elements_evaluated >= 256  # the initial bulk insert alone
 
 
-def test_batched_heap_peek_does_not_consume():
-    heap = BatchedLazyGreedy(
-        lambda keys: np.asarray(keys, dtype=np.float64), batch_size=8
-    )
-    heap.push_array(np.arange(5, dtype=np.int64))
-    assert heap.peek_best() == (4, 4.0)
-    assert len(heap) == 5
-    assert heap.pop_best() == (4, 4.0)
-    assert len(heap) == 4
-
-
 def test_batched_heap_rejects_bad_batch_size():
     with pytest.raises(ValueError):
         BatchedLazyGreedy(lambda keys: keys, batch_size=0)
 
 
 # --------------------------------------------------------------------- #
-# consumer-level identity (RR-set oracle)
+# consumer-level identity (same RR-set oracle, both engines)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("model_cls", MODELS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize("seed", [5, 11])
@@ -181,11 +185,11 @@ def test_cs_and_ca_greedy_bit_identical(graph, model_cls, seed):
     instance, oracle = _instance_and_oracle(graph, model_cls, seed=seed)
     h = instance.num_advertisers
     for solver in (cs_greedy, ca_greedy):
-        scalar = solver(instance, oracle, policy=SCALAR)
-        batched = solver(instance, oracle, policy=BATCHED)
-        assert _allocations_equal(scalar.allocation, batched.allocation, h)
-        assert scalar.revenue == batched.revenue
-        assert scalar.depleted_budgets == batched.depleted_budgets
+        coverage = solver(instance, oracle)
+        per_key = solver(instance, _Delegating(oracle))
+        assert _allocations_equal(coverage.allocation, per_key.allocation, h)
+        assert coverage.revenue == per_key.revenue
+        assert coverage.depleted_budgets == per_key.depleted_budgets
 
 
 @pytest.mark.parametrize("seed", [5, 11, 42])
@@ -193,30 +197,26 @@ def test_greedy_single_advertiser_bit_identical(graph, seed):
     instance, oracle = _instance_and_oracle(graph, seed=seed)
     for advertiser in range(instance.num_advertisers):
         assert greedy_single_advertiser(
-            instance, oracle, advertiser, policy=SCALAR
-        ) == greedy_single_advertiser(
-            instance, oracle, advertiser, policy=BATCHED
-        )
+            instance, oracle, advertiser
+        ) == greedy_single_advertiser(instance, _Delegating(oracle), advertiser)
 
 
 def test_greedy_single_advertiser_candidate_subset(graph):
     instance, oracle = _instance_and_oracle(graph)
     candidates = list(range(0, graph.num_nodes, 3))
     assert greedy_single_advertiser(
-        instance, oracle, 1, candidates=candidates, policy=SCALAR
-    ) == greedy_single_advertiser(
-        instance, oracle, 1, candidates=candidates, policy=BATCHED
-    )
+        instance, oracle, 1, candidates=candidates
+    ) == greedy_single_advertiser(instance, _Delegating(oracle), 1, candidates=candidates)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 10.0])
 def test_threshold_greedy_bit_identical(graph, gamma):
     instance, oracle = _instance_and_oracle(graph)
     h = instance.num_advertisers
-    scalar, b_scalar = threshold_greedy(instance, oracle, gamma, policy=SCALAR)
-    batched, b_batched = threshold_greedy(instance, oracle, gamma, policy=BATCHED)
-    assert b_scalar == b_batched
-    assert _allocations_equal(scalar, batched, h)
+    coverage, b_coverage = threshold_greedy(instance, oracle, gamma)
+    per_key, b_per_key = threshold_greedy(instance, _Delegating(oracle), gamma)
+    assert b_coverage == b_per_key
+    assert _allocations_equal(coverage, per_key, h)
 
 
 def test_fill_bit_identical_from_partial_allocation(graph):
@@ -225,52 +225,56 @@ def test_fill_bit_identical_from_partial_allocation(graph):
     start = Allocation(h)
     for advertiser, node in [(0, 3), (0, 17), (1, 25), (2, 4)]:
         start.assign(node, advertiser)
-    scalar = fill(instance, oracle, start, policy=SCALAR)
-    batched = fill(instance, oracle, start, policy=BATCHED)
-    assert _allocations_equal(scalar, batched, h)
+    coverage = fill(instance, oracle, start)
+    per_key = fill(instance, _Delegating(oracle), start)
+    assert _allocations_equal(coverage, per_key, h)
 
 
 @pytest.mark.parametrize("h", [1, 3, 4])
 def test_rm_with_oracle_bit_identical(graph, h):
     """Covers all three dispatch arms of Algorithm 5 (h=1, h≤3, h≥4)."""
     instance, oracle = _instance_and_oracle(graph, h=h)
-    scalar = rm_with_oracle(instance, oracle, policy=SCALAR)
-    batched = rm_with_oracle(instance, oracle, policy=BATCHED)
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-    assert scalar.metadata == batched.metadata
+    coverage = rm_with_oracle(instance, oracle)
+    per_key = rm_with_oracle(instance, _Delegating(oracle))
+    assert _allocations_equal(coverage.allocation, per_key.allocation, h)
+    assert coverage.revenue == per_key.revenue
+    assert coverage.metadata == per_key.metadata
 
 
 def test_gamma_max_bit_identical(graph):
     instance, oracle = _instance_and_oracle(graph)
-    scalar = gamma_max(instance, oracle, policy=SCALAR)
-    batched = gamma_max(instance, oracle, policy=BATCHED)
-    assert scalar == batched
+    assert gamma_max(instance, oracle) == gamma_max(instance, _Delegating(oracle))
     subset = list(range(0, graph.num_nodes, 7))
-    assert gamma_max(instance, oracle, candidates=subset, policy=SCALAR) == gamma_max(
-        instance, oracle, candidates=subset, policy=BATCHED
+    assert gamma_max(instance, oracle, candidates=subset) == gamma_max(
+        instance, _Delegating(oracle), candidates=subset
     )
 
 
 def test_coverage_engine_matches_oracle_marginals(graph):
-    """Engine gains/rates equal the oracle's floats while seeds accumulate."""
+    """Both engines return the oracle's floats while seeds accumulate."""
     instance, oracle = _instance_and_oracle(graph)
-    engine = CoverageGreedyEngine(instance, oracle)
-    assert supports_batched_greedy(oracle, instance)
+    engines = [engine_for(instance, oracle), engine_for(instance, _Delegating(oracle))]
+    assert isinstance(engines[0], CoverageGreedyEngine)
+    assert isinstance(engines[1], OracleGreedyEngine)
     rng = np.random.default_rng(2)
     seeds: dict[int, set[int]] = {i: set() for i in range(instance.num_advertisers)}
     for step, node in enumerate(rng.permutation(graph.num_nodes)[:40].tolist()):
         advertiser = step % instance.num_advertisers
         expected = oracle.marginal_revenue(advertiser, node, seeds[advertiser])
-        assert engine.gain(advertiser, node) == expected
-        key = np.array([engine.encode(node, advertiser)], dtype=np.int64)
-        assert engine.gains(key)[0] == expected
+        for engine in engines:
+            assert engine.gain(advertiser, node) == expected
+            key = np.array([advertiser * graph.num_nodes + node], dtype=np.int64)
+            assert engine.gains(key)[0] == expected
+            engine.add_seed(advertiser, node)
         seeds[advertiser].add(node)
-        engine.add_seed(advertiser, node)
-    for advertiser, assigned in seeds.items():
-        assert engine.revenue_for(advertiser) == pytest.approx(
-            oracle.revenue(advertiser, assigned)
-        )
+
+
+def test_engines_set_their_own_batch_size(graph):
+    instance, oracle = _instance_and_oracle(graph)
+    coverage = engine_for(instance, oracle)
+    per_key = engine_for(instance, _Delegating(oracle))
+    assert coverage.batch_size == batched_greedy.DEFAULT_BATCH_SIZE
+    assert per_key.batch_size == 1
 
 
 # --------------------------------------------------------------------- #
@@ -291,56 +295,55 @@ def _dataset_instance():
     return data.instance
 
 
-def test_rma_solver_bit_identical():
+def _force_oracle_engine(monkeypatch):
+    """Route every greedy loop onto the oracle engine, RR-set oracles too."""
+    monkeypatch.setattr(batched_greedy, "_covers", lambda oracle, instance: False)
+
+
+def test_rma_solver_bit_identical(monkeypatch):
     instance = _dataset_instance()
     h = instance.num_advertisers
     params = SamplingParameters(
-        epsilon=0.3, initial_rr_sets=512, max_rr_sets=2048, seed=9, policy=SCALAR
+        epsilon=0.3,
+        initial_rr_sets=512,
+        max_rr_sets=2048,
+        seed=9,
+        policy=ExecutionPolicy.seed(),
     )
-    scalar = rm_without_oracle(instance, params)
-    batched = rm_without_oracle(instance, replace(params, policy=BATCHED))
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-    assert scalar.metadata == batched.metadata
+    coverage = rm_without_oracle(instance, params)
+    _force_oracle_engine(monkeypatch)
+    per_key = rm_without_oracle(instance, params)
+    assert _allocations_equal(coverage.allocation, per_key.allocation, h)
+    assert coverage.revenue == per_key.revenue
+    assert coverage.metadata == per_key.metadata
 
 
-def test_one_batch_rm_bit_identical():
+def test_one_batch_rm_bit_identical(monkeypatch):
     instance = _dataset_instance()
     h = instance.num_advertisers
-    params = SamplingParameters(epsilon=0.3, seed=9, policy=SCALAR)
-    scalar = one_batch_rm(instance, 800, params)
-    batched = one_batch_rm(instance, 800, replace(params, policy=BATCHED))
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-
-
-@pytest.mark.parametrize("solver", [ti_carm, ti_csrm], ids=["ti_carm", "ti_csrm"])
-def test_ti_baselines_bit_identical(solver):
-    instance = _dataset_instance()
-    h = instance.num_advertisers
-    params = TIParameters(
-        epsilon=0.2, pilot_size=64, max_rr_sets_per_advertiser=512, seed=7, policy=SCALAR
-    )
-    scalar = solver(instance, params)
-    batched = solver(instance, replace(params, policy=BATCHED))
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-    assert scalar.metadata == batched.metadata
+    params = SamplingParameters(epsilon=0.3, seed=9, policy=ExecutionPolicy.seed())
+    coverage = one_batch_rm(instance, 800, params)
+    _force_oracle_engine(monkeypatch)
+    per_key = one_batch_rm(instance, 800, params)
+    assert _allocations_equal(coverage.allocation, per_key.allocation, h)
+    assert coverage.revenue == per_key.revenue
 
 
 # --------------------------------------------------------------------- #
-# fallback: non-RR-set oracles keep the seed scalar path
+# Monte-Carlo oracles run on the per-key engine
 # --------------------------------------------------------------------- #
-def test_batched_policy_falls_back_for_monte_carlo_oracle():
+def test_monte_carlo_oracle_runs_on_the_oracle_engine():
     tiny = preferential_attachment_digraph(30, out_degree=2, seed=2)
     model = WeightedCascadeModel(tiny)
     advertisers = [Advertiser(budget=25.0, cpe=1.0) for _ in range(2)]
     costs = np.full((2, tiny.num_nodes), 1.5)
     instance = RMInstance(tiny, model, advertisers, costs)
     results = []
-    for policy in (SCALAR, BATCHED):
-        oracle = MonteCarloOracle(instance, num_simulations=40, seed=11, policy=SCALAR)
-        assert not supports_batched_greedy(oracle, instance)
-        results.append(cs_greedy(instance, oracle, policy=policy))
+    for _ in range(2):
+        oracle = MonteCarloOracle(
+            instance, num_simulations=40, seed=11, policy=ExecutionPolicy.seed()
+        )
+        assert isinstance(engine_for(instance, oracle), OracleGreedyEngine)
+        results.append(cs_greedy(instance, oracle))
     assert _allocations_equal(results[0].allocation, results[1].allocation, 2)
     assert results[0].revenue == results[1].revenue

@@ -12,7 +12,8 @@ Two guarantees pin the flip of the default from the serial seed path to
    per-flag kwargs (``use_subsim`` / ``use_batched_mc`` /
    ``use_batched_greedy`` / loose ``n_jobs`` / ``fast``) now raises
    ``TypeError``, so old code fails loudly instead of silently running on
-   different engines.
+   different engines.  The same holds for the retired ``greedy_engine``
+   policy field: the greedy evaluator follows the oracle, with no knob.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class TestSeedPolicyMatchesPreflipGolden:
         assert _fingerprint(result) == golden["CA-Greedy"]
 
     def test_greedy_engines_agree_on_golden_allocations(self, dataset, golden, rr_oracle):
-        """The batched greedy engine is bit-identical, so even the fast
-        policy reproduces the golden *allocations* when the oracle's RR-set
+        """The greedy loops do not read the policy, so even the fast policy
+        reproduces the golden *allocations* when the oracle's RR-set
         collection is pinned to the seed sampler."""
         fast = ExecutionPolicy.fast()
         assert _fingerprint(cs_greedy(dataset.instance, rr_oracle, policy=fast)) == golden[
@@ -138,6 +139,7 @@ class TestLegacyKwargsRaiseTypeError:
             {"use_subsim": True},
             {"use_batched_mc": True},
             {"use_batched_greedy": True},
+            {"greedy_engine": "batched"},
             {"n_jobs": 2},
             {"fast": True},
         ):
@@ -148,6 +150,7 @@ class TestLegacyKwargsRaiseTypeError:
         for kwargs in (
             {"use_subsim": True},
             {"use_batched_greedy": True},
+            {"greedy_engine": "batched"},
             {"n_jobs": 2},
         ):
             with pytest.raises(TypeError):
@@ -159,26 +162,36 @@ class TestLegacyKwargsRaiseTypeError:
         with pytest.raises(TypeError):
             MonteCarloOracle(dataset.instance, n_jobs=2)
 
+    def test_execution_policy(self):
+        for engine in ("scalar", "batched"):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(greedy_engine=engine)
+            with pytest.raises(TypeError):
+                ExecutionPolicy.fast().evolve(greedy_engine=engine)
+
     def test_oracle_solver(self, dataset, rr_oracle):
-        with pytest.raises(TypeError):
-            rm_with_oracle(dataset.instance, rr_oracle, use_batched_greedy=True)
+        for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):
+            with pytest.raises(TypeError):
+                rm_with_oracle(dataset.instance, rr_oracle, **kwargs)
 
     def test_greedy_family(self, dataset, rr_oracle):
         instance = dataset.instance
-        with pytest.raises(TypeError):
-            greedy_single_advertiser(
-                instance, rr_oracle, 0, instance.budget(0), use_batched_greedy=True
-            )
-        with pytest.raises(TypeError):
-            threshold_greedy(instance, rr_oracle, 1.0, use_batched_greedy=True)
-        with pytest.raises(TypeError):
-            fill(instance, rr_oracle, object(), use_batched_greedy=True)
+        for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):
+            with pytest.raises(TypeError):
+                greedy_single_advertiser(
+                    instance, rr_oracle, 0, instance.budget(0), **kwargs
+                )
+            with pytest.raises(TypeError):
+                threshold_greedy(instance, rr_oracle, 1.0, **kwargs)
+            with pytest.raises(TypeError):
+                fill(instance, rr_oracle, object(), **kwargs)
 
     def test_baselines(self, dataset, rr_oracle):
-        with pytest.raises(TypeError):
-            cs_greedy(dataset.instance, rr_oracle, use_batched_greedy=True)
-        with pytest.raises(TypeError):
-            ca_greedy(dataset.instance, rr_oracle, use_batched_greedy=True)
+        for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):
+            with pytest.raises(TypeError):
+                cs_greedy(dataset.instance, rr_oracle, **kwargs)
+            with pytest.raises(TypeError):
+                ca_greedy(dataset.instance, rr_oracle, **kwargs)
 
     def test_uniform_sampler(self, dataset):
         instance = dataset.instance
@@ -197,6 +210,7 @@ class TestLegacyKwargsRaiseTypeError:
             {"use_subsim": True},
             {"use_batched_mc": True},
             {"use_batched_greedy": True},
+            {"greedy_engine": "batched"},
         ):
             with pytest.raises(TypeError):
                 run_algorithm("RMA", dataset.instance, **kwargs)

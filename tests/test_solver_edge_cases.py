@@ -2,7 +2,8 @@
 
 These cover degenerate instances the algorithms must survive gracefully:
 budgets too small for any seed, disconnected graphs, zero-probability
-propagation, single-node graphs, and advertisers with identical parameters.
+propagation, single-node graphs, advertisers with identical parameters, and
+candidate pools naming nodes outside the graph.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.advertising.advertiser import Advertiser
+from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import ExactOracle, MonteCarloOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
@@ -20,10 +22,13 @@ from repro.baselines.ti_csrm import ti_csrm
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.oracle_solver import rm_with_oracle
 from repro.core.sampling_solver import SamplingParameters, rm_without_oracle
-from repro.core.threshold_greedy import threshold_greedy
+from repro.core.search import gamma_max
+from repro.core.threshold_greedy import fill, threshold_greedy
 from repro.diffusion.models import IndependentCascadeModel
+from repro.exceptions import ProblemDefinitionError
 from repro.graph.builders import from_edge_list
 from repro.rrsets.uniform import UniformRRSampler
+from repro.runtime import ExecutionPolicy
 
 
 def make_instance(edges, num_nodes, budgets, probability=0.5, costs=None, cpes=None):
@@ -152,3 +157,55 @@ class TestHeterogeneousCpe:
             TIParameters(epsilon=0.3, pilot_size=32, max_rr_sets_per_advertiser=128, seed=2),
         )
         assert result.revenue >= 0.0
+
+
+class TestOutOfRangeCandidates:
+    """Every greedy consumer validates its candidate pool the same way,
+    whichever oracle (and so whichever greedy engine) it runs on."""
+
+    SOLVERS = {
+        "gamma_max": lambda instance, oracle, candidates: gamma_max(
+            instance, oracle, candidates=candidates
+        ),
+        "threshold_greedy": lambda instance, oracle, candidates: threshold_greedy(
+            instance, oracle, 0.0, candidates=candidates
+        ),
+        "fill": lambda instance, oracle, candidates: fill(
+            instance, oracle, Allocation(instance.num_advertisers), candidates=candidates
+        ),
+        "greedy_single_advertiser": lambda instance, oracle, candidates: (
+            greedy_single_advertiser(instance, oracle, 0, candidates=candidates)
+        ),
+        "ca_greedy": lambda instance, oracle, candidates: ca_greedy(
+            instance, oracle, candidates=candidates
+        ),
+        "cs_greedy": lambda instance, oracle, candidates: cs_greedy(
+            instance, oracle, candidates=candidates
+        ),
+    }
+
+    @staticmethod
+    def _oracle(kind, instance):
+        if kind == "rr":
+            sampler = UniformRRSampler(
+                instance.graph,
+                instance.all_edge_probabilities(),
+                instance.cpes(),
+                seed=3,
+                policy=ExecutionPolicy.seed(),
+            )
+            return RRSetOracle(sampler.generate_collection(200), instance.gamma)
+        return MonteCarloOracle(
+            instance, num_simulations=10, seed=3, policy=ExecutionPolicy.seed()
+        )
+
+    @pytest.mark.parametrize("oracle_kind", ["rr", "monte_carlo"])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_out_of_range_candidate_raises_problem_definition_error(
+        self, solver, oracle_kind
+    ):
+        instance = make_instance([(0, 1), (1, 2), (2, 3)], 4, budgets=[6.0, 6.0])
+        oracle = self._oracle(oracle_kind, instance)
+        for candidates in ([-1, 0, 1], [0, instance.num_nodes]):
+            with pytest.raises(ProblemDefinitionError, match="out of range"):
+                self.SOLVERS[solver](instance, oracle, candidates)

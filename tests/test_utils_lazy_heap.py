@@ -6,75 +6,83 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.lazy_heap import LazyMarginalHeap
+from repro.utils.lazy_heap import BatchedLazyGreedy
+
+
+def _heap(values, batch_size=64):
+    """A heap whose evaluator reads the current ``values`` table."""
+    return BatchedLazyGreedy(
+        lambda keys: np.array([values[int(key)] for key in keys], dtype=np.float64),
+        batch_size=batch_size,
+    )
+
+
+def _keys(values):
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 class TestBasicOperations:
     def test_pop_returns_largest(self):
-        values = {"a": 1.0, "b": 5.0, "c": 3.0}
-        heap = LazyMarginalHeap(lambda key: values[key])
-        heap.push_many(values)
-        assert heap.pop_best()[0] == "b"
+        values = {0: 1.0, 1: 5.0, 2: 3.0}
+        heap = _heap(values)
+        heap.push_array(_keys(values))
+        assert heap.pop_best()[0] == 1
 
     def test_pop_order_is_descending_when_static(self):
-        values = {"a": 1.0, "b": 5.0, "c": 3.0}
-        heap = LazyMarginalHeap(lambda key: values[key])
-        heap.push_many(values)
+        values = {0: 1.0, 1: 5.0, 2: 3.0}
+        heap = _heap(values)
+        heap.push_array(_keys(values))
         order = [heap.pop_best()[0] for _ in range(3)]
-        assert order == ["b", "c", "a"]
+        assert order == [1, 2, 0]
 
     def test_empty_heap_returns_none(self):
-        heap = LazyMarginalHeap(lambda key: 0.0)
+        heap = _heap({})
         assert heap.pop_best() is None
 
     def test_len_and_contains(self):
-        heap = LazyMarginalHeap(lambda key: 1.0)
-        heap.push("x")
+        values = {7: 1.0}
+        heap = _heap(values)
+        heap.push_array(_keys(values))
         assert len(heap) == 1
-        assert "x" in heap
+        assert 7 in heap
         heap.pop_best()
         assert len(heap) == 0
-        assert "x" not in heap
+        assert 7 not in heap
 
     def test_remove_skips_key(self):
-        values = {"a": 1.0, "b": 5.0}
-        heap = LazyMarginalHeap(lambda key: values[key])
-        heap.push_many(values)
-        heap.remove("b")
-        assert heap.pop_best()[0] == "a"
-
-    def test_peek_does_not_remove(self):
-        heap = LazyMarginalHeap(lambda key: {"a": 2.0}[key])
-        heap.push("a")
-        assert heap.peek_best()[0] == "a"
-        assert len(heap) == 1
+        values = {0: 1.0, 1: 5.0}
+        heap = _heap(values)
+        heap.push_array(_keys(values))
+        heap.remove(1)
+        assert heap.pop_best()[0] == 0
 
     def test_push_with_explicit_value(self):
-        heap = LazyMarginalHeap(lambda key: 0.0)
-        heap.push("a", value=9.0)
+        heap = _heap({0: 0.0})
+        heap.push_array(np.array([0], dtype=np.int64), np.array([9.0]))
         key, value = heap.pop_best()
-        assert key == "a"
+        assert key == 0
         assert value == 9.0
+        assert heap.evaluation_calls == 0
 
 
 class TestLazyRefresh:
     def test_stale_values_are_refreshed_after_round_advance(self):
-        values = {"a": 10.0, "b": 8.0}
-        heap = LazyMarginalHeap(lambda key: values[key])
-        heap.push_many(values)
-        # Simulate submodular decay: "a" loses most of its value.
-        values["a"] = 1.0
+        values = {0: 10.0, 1: 8.0}
+        heap = _heap(values)
+        heap.push_array(_keys(values))
+        # Simulate submodular decay: key 0 loses most of its value.
+        values[0] = 1.0
         heap.advance_round()
-        assert heap.pop_best()[0] == "b"
+        assert heap.pop_best()[0] == 1
 
     def test_refresh_keeps_all_keys(self):
-        values = {"a": 10.0, "b": 8.0, "c": 6.0}
-        heap = LazyMarginalHeap(lambda key: values[key])
-        heap.push_many(values)
-        values["a"] = 0.0
+        values = {0: 10.0, 1: 8.0, 2: 6.0}
+        heap = _heap(values)
+        heap.push_array(_keys(values))
+        values[0] = 0.0
         heap.advance_round()
         popped = {heap.pop_best()[0] for _ in range(3)}
-        assert popped == {"a", "b", "c"}
+        assert popped == {0, 1, 2}
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,8 +94,9 @@ class TestLazyRefresh:
         max_size=12,
     ),
     decays=st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=12),
+    batch_size=st.sampled_from([1, 4, 64]),
 )
-def test_lazy_selection_matches_eager_argmax(initial, decays):
+def test_lazy_selection_matches_eager_argmax(initial, decays, batch_size):
     """Lazy selection must equal an eager arg-max when values only decrease.
 
     This mirrors how the greedy algorithms use the heap: after every
@@ -95,8 +104,8 @@ def test_lazy_selection_matches_eager_argmax(initial, decays):
     told via ``advance_round``.
     """
     values = dict(initial)
-    heap = LazyMarginalHeap(lambda key: values[key])
-    heap.push_many(values)
+    heap = _heap(values, batch_size)
+    heap.push_array(_keys(values))
 
     eager_keys = set(values)
     selections_lazy = []
