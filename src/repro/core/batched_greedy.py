@@ -15,7 +15,9 @@ differs, and :func:`engine_for` picks it from the oracle's type:
   :class:`~repro.rrsets.collection.CoverageState` and a batch of stale
   candidates is refreshed with **one** gather ``scale · marginal[keys]``.
   Gains are ``scale × integer-count`` exactly like the oracle's own
-  answers, so accept/reject decisions see the oracle's floats.
+  answers, so accept/reject decisions see the oracle's floats.  The engine
+  is ``pure`` (deterministic, non-increasing marginals), which lets
+  ThresholdGreedy and Fill drop dead elements in bulk.
 * :class:`OracleGreedyEngine` — for every other oracle (Monte-Carlo,
   exact).  Each key is one ``oracle.marginal_revenue`` call, in key order,
   against the per-advertiser seed sets ``add_seed`` builds up.  Its heap
@@ -47,11 +49,15 @@ class GreedyEngine:
     """Shared element encoding, rate transform and feasibility filters.
 
     Subclasses supply the marginal gains (:meth:`gains` / :meth:`gain`),
-    the singleton revenues behind the feasibility filters, :meth:`add_seed`
-    and the heap ``batch_size``.
+    the singleton revenues behind the feasibility filters, :meth:`add_seed`,
+    the heap ``batch_size`` and whether evaluations are ``pure``.
     """
 
     batch_size = DEFAULT_BATCH_SIZE
+    #: evaluations are side-effect free and never increase as seeds are
+    #: added; only then may the greedy loops drop dead elements in bulk and
+    #: the heap treat a zero as final (see :mod:`repro.utils.lazy_heap`)
+    pure = False
 
     def __init__(self, instance: RMInstance):
         self._num_nodes = instance.num_nodes
@@ -76,7 +82,7 @@ class GreedyEngine:
 
     def heap(self, evaluate: Callable[[np.ndarray], np.ndarray]) -> BatchedLazyGreedy:
         """A lazy-greedy heap over ``evaluate`` with this engine's batch size."""
-        return BatchedLazyGreedy(evaluate, batch_size=self.batch_size)
+        return BatchedLazyGreedy(evaluate, batch_size=self.batch_size, pure=self.pure)
 
     def rates(self, keys: np.ndarray) -> np.ndarray:
         """Marginal rates ``ζ = gain / (cost + gain)`` for a batch of keys."""
@@ -132,7 +138,11 @@ class CoverageGreedyEngine(GreedyEngine):
 
     The engine builds its own :class:`CoverageState`, so the oracle's caches
     are left untouched and remain usable for final revenue queries.
+    Coverage marginals are deterministic and only shrink, so the engine is
+    ``pure``.
     """
+
+    pure = True
 
     def __init__(self, instance: RMInstance, oracle: RRSetOracle):
         if not _covers(oracle, instance):

@@ -13,7 +13,7 @@ budget is stored separately as the "stopple node" ``D_i``, and the better of
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import engine_for
 from repro.exceptions import SolverError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
 
 
 def marginal_rate(marginal_gain: float, cost: float) -> float:
@@ -43,7 +40,6 @@ def greedy_single_advertiser(
     advertiser: int,
     candidates: Optional[Iterable[int]] = None,
     budget: Optional[float] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Tuple[Set[int], Set[int], Set[int]]:
     """Run ``Greedy(U, i)`` and return ``(S_i*, S_i, D_i)``.
 
@@ -60,10 +56,6 @@ def greedy_single_advertiser(
     budget:
         Budget override ``B_i`` (the sampling solver passes the relaxed
         ``(1 + ϱ/2)·B_i`` here).
-    policy:
-        Accepted for a uniform solver signature; no greedy loop depends on
-        it — the evaluator follows the oracle
-        (:func:`repro.core.batched_greedy.engine_for`).
 
     Returns
     -------

@@ -10,7 +10,7 @@ network-independent approximation ratios of the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -22,24 +22,19 @@ from repro.core.result import SearchByproducts
 from repro.core.threshold_greedy import threshold_greedy
 from repro.exceptions import SolverError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
-
 
 def gamma_max(
     instance: RMInstance,
     oracle: RevenueOracle,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> float:
     """``γ_max = max{B_j · ζ_j(v | ∅) : v ∈ V, j ∈ [h]}`` (Eq. 6).
 
     A threshold above this value rejects every node, so the binary search
     never needs to look beyond ``(1+τ)·γ_max``.  The ``h·n`` singleton rates
     come from the greedy engine on the empty solution (one vectorized pass
-    for an RR-set oracle).  ``policy`` is accepted for a uniform solver
-    signature; the evaluator follows the oracle.
+    for an RR-set oracle).
     """
     budget_array = (
         np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
@@ -63,7 +58,6 @@ def search_threshold(
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
     max_iterations: int = 64,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Tuple[Allocation, float, SearchByproducts, dict]:
     """Algorithm 4 — returns ``(best allocation, its revenue, byproducts, diagnostics)``.
 
@@ -79,10 +73,6 @@ def search_threshold(
         Safety cap on the number of ThresholdGreedy invocations; the paper's
         stopping rule terminates in ``O(log(h·γ_max / min_i cpe(i)))``
         iterations, the cap only guards against degenerate inputs.
-    policy:
-        Accepted for a uniform solver signature; no greedy loop depends on
-        it — the evaluator follows the oracle
-        (:func:`repro.core.batched_greedy.engine_for`).
     """
     if not 0.0 < tau < 1.0:
         raise SolverError("tau must lie in (0, 1)")

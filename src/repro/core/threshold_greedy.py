@@ -11,23 +11,97 @@ whatever budget is left, greedily by marginal rate.
 Theorem 3.2 relates the revenue of the returned allocation to ``OPT`` through
 the number ``b`` of depleted budgets, which is what the binary search of
 Algorithm 4 exploits.
+
+On a ``pure`` (RR-set coverage) engine both loops drop every element that
+can never be accepted again from the heap in one vectorized step per
+acceptance, instead of surfacing and rejecting each one
+(:class:`_DeadElements`; :mod:`repro.utils.lazy_heap` explains why this
+leaves every allocation unchanged).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
-from repro.core.batched_greedy import engine_for
+from repro.core.batched_greedy import GreedyEngine, engine_for
 from repro.core.greedy import greedy_single_advertiser, marginal_rate
 from repro.exceptions import SolverError
+from repro.utils.lazy_heap import BatchedLazyGreedy
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
+
+def _margin(num_nodes: int) -> float:
+    """Relative margin the pruning masks keep from their scalar checks.
+
+    A budget sum gains one rounding error (relative to ``B_a``) per seed
+    accepted later, at most ``n`` of them, and a rate is within a few ulps
+    of its exact value; an element is dropped only when it fails its check
+    by more than that, so it fails it at every later step too.
+    """
+    return 4.0 * (num_nodes + 16) * np.finfo(np.float64).eps
+
+
+class _DeadElements:
+    """Drops elements that can never be accepted again from a greedy heap.
+
+    ``dead(keys)`` masks the keys whose rejection is permanent given the
+    current solution.  Elements are dropped when pushed, when their node is
+    taken, when their advertiser's solution grows (:meth:`recheck`) or is
+    closed (:meth:`drop_advertiser`).  Off a ``pure`` engine every key is
+    pushed and nothing is ever dropped.
+    """
+
+    def __init__(
+        self,
+        heap: BatchedLazyGreedy,
+        engine: GreedyEngine,
+        instance: RMInstance,
+        dead: Callable[[np.ndarray], np.ndarray],
+        taken: Iterable[int] = (),
+    ):
+        self._heap = heap
+        self._enabled = engine.pure
+        self._n = n = instance.num_nodes
+        self._h = instance.num_advertisers
+        self._dead = dead
+        self._taken = np.zeros(n, dtype=bool)
+        self._taken[list(taken)] = True
+        self._node_keys = np.arange(self._h, dtype=np.int64) * n
+        self._live: List[np.ndarray] = []
+
+    def push(self, keys: np.ndarray) -> None:
+        """Push the live ``keys`` onto the heap, keeping their order."""
+        if self._enabled:
+            keys = keys[~self._taken[keys % self._n]]
+            keys = keys[~self._dead(keys)]
+            advertisers = keys // self._n
+            self._live = [keys[advertisers == a] for a in range(self._h)]
+        self._heap.push_array(keys)
+
+    def take(self, node: int) -> None:
+        """``node`` is assigned: drop its element for every advertiser."""
+        if self._enabled:
+            self._taken[node] = True
+            self._heap.discard(self._node_keys + node)
+
+    def recheck(self, advertiser: int) -> None:
+        """Drop ``advertiser``'s elements that died with its last seed."""
+        if self._enabled:
+            keys = self._live[advertiser]
+            keys = keys[~self._taken[keys - advertiser * self._n]]
+            dead = self._dead(keys)
+            self._heap.discard(keys[dead])
+            self._live[advertiser] = keys[~dead]
+
+    def drop_advertiser(self, advertiser: int) -> None:
+        """Drop every element of ``advertiser``."""
+        if self._enabled:
+            self._heap.discard(self._live[advertiser])
+            self._live[advertiser] = self._live[advertiser][:0]
 
 
 class _GreedyState:
@@ -72,7 +146,6 @@ def threshold_greedy(
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
     run_fill: bool = True,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Tuple[Allocation, int]:
     """Algorithm 2 — returns ``(allocation S⃗*, b)``.
 
@@ -88,10 +161,6 @@ def threshold_greedy(
     run_fill:
         Whether to run the final ``Fill`` pass (Line 12).  Disabled only by
         ablation benchmarks.
-    policy:
-        Accepted for a uniform solver signature; no greedy loop depends on
-        it — the evaluator follows the oracle
-        (:func:`repro.core.batched_greedy.engine_for`).
     """
     if gamma < 0:
         raise SolverError("gamma must be non-negative")
@@ -109,7 +178,14 @@ def threshold_greedy(
     engine = engine_for(instance, oracle)
     n = instance.num_nodes
     heap = engine.heap(engine.gains)
-    heap.push_array(engine.feasible_element_keys(budget_array, candidates))
+    # Permanent rejections: a rate below γ/B_a (rates only fall), an assigned
+    # node, a depleted advertiser.  A budget overflow is not one of them: it
+    # parks the element as the stopple node D_a.
+    thresholds = (gamma / budget_array) * (1.0 - _margin(n))
+    pruner = _DeadElements(
+        heap, engine, instance, lambda keys: engine.rates(keys) < thresholds[keys // n]
+    )
+    pruner.push(engine.feasible_element_keys(budget_array, candidates))
 
     # Main loop (Lines 3-8): pop by max marginal gain, apply the three filters.
     while len(heap) and len(depleted) < h:
@@ -130,11 +206,14 @@ def threshold_greedy(
         if node in state.assigned:
             continue
         outcome = state.try_add(node, advertiser, gain)
+        pruner.take(node)
         if outcome == "selected":
             engine.add_seed(advertiser, node)
             heap.advance_round()
+            pruner.recheck(advertiser)
         else:
             depleted.add(advertiser)
+            pruner.drop_advertiser(advertiser)
 
     # Line 9-10: when exactly one budget is depleted, re-run Greedy for it on
     # the still-unassigned nodes; its result backs the b = 1 case of Thm 3.2.
@@ -206,13 +285,11 @@ def fill(
     allocation: Allocation,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Allocation:
     """Algorithm 3 — greedily spend leftover budget by maximum marginal rate.
 
     Returns a new allocation extending ``allocation`` (the input is copied,
-    not mutated).  ``policy`` is accepted for a uniform solver signature; the
-    evaluator follows the oracle.
+    not mutated).
     """
     h = instance.num_advertisers
     budget_array = (
@@ -222,8 +299,8 @@ def fill(
         raise SolverError(f"budgets must have length {h}")
 
     result = allocation.copy()
-    revenue: Dict[int, float] = {}
-    cost: Dict[int, float] = {}
+    revenue = [0.0] * h
+    cost = [0.0] * h
     # Replay the incoming allocation into the engine so element gains are
     # marginals w.r.t. the seeds Fill starts from.
     engine = engine_for(instance, oracle)
@@ -235,7 +312,21 @@ def fill(
 
     n = instance.num_nodes
     heap = engine.heap(engine.rates)
-    heap.push_array(engine.feasible_element_keys(budget_array, candidates))
+    # Permanent rejections: an assigned node, and a budget check that fails,
+    # since cost_a + c + π_a(S_a) + π_a(v | S_a) never decreases as S_a
+    # grows.  The mask sums in the scalar check's order.
+    cost_flat = instance.cost_matrix().ravel()
+    limits = budget_array * (1.0 + _margin(n))
+
+    def over_budget(keys: np.ndarray) -> np.ndarray:
+        advertisers = keys // n
+        totals = np.asarray(cost)[advertisers] + cost_flat[keys]
+        totals += np.asarray(revenue)[advertisers]
+        totals += engine.gains(keys)
+        return totals > limits[advertisers]
+
+    pruner = _DeadElements(heap, engine, instance, over_budget, result.assigned_nodes())
+    pruner.push(engine.feasible_element_keys(budget_array, candidates))
 
     while len(heap):
         popped = heap.pop_best()
@@ -253,4 +344,6 @@ def fill(
             revenue[advertiser] += gain
             cost[advertiser] += node_cost
             heap.advance_round()
+            pruner.take(node)
+            pruner.recheck(advertiser)
     return result

@@ -325,9 +325,10 @@ class RRStore:
                     shard.tags.tolist(),
                     shard.roots.tolist(),
                 ):
-                    # Detach from the shard buffer: collection compaction
-                    # assumes per-set arrays it can hold onto.
-                    drawn.append((np.ascontiguousarray(members), int(tag), int(root)))
+                    # Detach from the shard buffer: a split slice is a view
+                    # that would keep the whole buffer alive for as long as
+                    # the slot survives.
+                    drawn.append((members.copy(), int(tag), int(root)))
             return drawn
         generators = self._ensure_generators()
         return [
@@ -530,9 +531,9 @@ class RRStore:
             raise SamplingError("slot roots must be valid node ids")
         store = cls(view, cpes, seed=seed, policy=policy, runtime=runtime)
         offsets = np.cumsum(sizes[:-1]) if sizes.size else sizes
+        # Copies, not views: a slot must not keep the whole payload alive.
         store._members = [
-            np.ascontiguousarray(chunk)
-            for chunk in (np.split(members, offsets) if sizes.size else [])
+            chunk.copy() for chunk in (np.split(members, offsets) if sizes.size else [])
         ]
         store._tags = [int(tag) for tag in tags]
         store._roots = [int(root) for root in roots]

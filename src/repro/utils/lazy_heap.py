@@ -8,12 +8,13 @@ top element ("lazy evaluation", Leskovec et al. 2007 / CELF) gives exactly the
 same selections as the eager arg-max while avoiding most re-evaluations.
 
 :class:`BatchedLazyGreedy` is the one heap every greedy consumer runs on.
-Stale entries are popped in surfacing order up to ``batch_size`` at a time
-and refreshed with **one** call to a vectorized ``batch_evaluate`` (for the
-RR-set consumers, a single numpy gather against the ``(h, n)`` marginal
-matrix of :class:`~repro.rrsets.collection.CoverageState`) instead of K
-Python callback round-trips.  Bulk insertion (``push_array``) likewise
-evaluates the whole candidate set in one call and heapifies once.
+When a stale entry surfaces, it and up to ``batch_size - 1`` other stale
+entries read in place from the shallow heap slots are refreshed with **one**
+call to a vectorized ``batch_evaluate`` (for the RR-set consumers, a single
+numpy gather against the ``(h, n)`` marginal matrix of
+:class:`~repro.rrsets.collection.CoverageState`) instead of K Python
+callback round-trips.  Bulk insertion (``push_array``) likewise evaluates the
+whole candidate set in one call and heapifies once.
 
 The heap *replays the plain CELF schedule exactly*: speculative batch
 evaluations are cached, but each refresh is committed one entry at a time in
@@ -26,12 +27,43 @@ With ``batch_size=1`` only the surfacing entry is evaluated, which keeps
 impure evaluators (a Monte-Carlo oracle drawing from a shared RNG) lazy and
 in CELF order.  The test suite pins the schedule against a scalar reference
 heap kept in ``tests/reference/lazy_heap.py``.
+
+**Dead elements.**  A consumer may :meth:`~BatchedLazyGreedy.discard` keys
+in bulk.  Removing an element the consumer would only ever reject leaves the
+pop sequence of every other element unchanged: entries compare by their
+unique ``(-value, counter)`` pair, so an entry that is never returned only
+ever consumed counter values, never reordered the rest.  Which rejections
+are permanent is the consumer's business (:mod:`repro.core.threshold_greedy`):
+
+* ``Fill`` rejects ``(v, a)`` when ``v`` is assigned or when
+  ``cost_a + c_a(v) + π_a(S_a) + π_a(v | S_a)`` exceeds ``B_a``.  Both are
+  permanent: assignments are never undone, and that sum never decreases as
+  ``S_a`` grows (cost is additive, ``π_a(S_a) + π_a(v | S_a) = π_a(S_a ∪ v)``
+  is monotone).
+* ``ThresholdGreedy`` rejects permanently when the rate
+  ``ζ_a(v | S_a)`` falls below ``γ / B_a`` (rates only fall), when ``v`` is
+  assigned, and every key of a depleted advertiser.  A budget overflow is
+  *not* a rejection there: the overflowing element is parked as the
+  stopple node ``D_a``, which changes the result, so it must surface.
+
+Both loops drop dead elements only on an engine that declares ``pure``
+evaluations (RR-set coverage: deterministic and non-increasing between
+rounds).  A per-key oracle engine may draw from a shared RNG, so there every
+element surfaces and is evaluated exactly as in a plain CELF loop.  The
+floats of the budget sum accumulate rounding, so pruning keeps a small
+relative margin; an element inside it survives and is rejected when popped.
+
+**Zero is final.**  On a ``pure`` heap a stale entry whose cached value is 0
+is re-committed as 0 without calling ``batch_evaluate`` — a monotone
+coverage marginal that reached 0 stays 0 — and zero entries are never
+speculated.  The refresh still draws its counter, so the schedule is
+unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,19 +81,22 @@ class BatchedLazyGreedy:
         candidates costs one numpy call instead of K Python round-trips.
     batch_size:
         Maximum number of stale entries refreshed per evaluation call.
+    pure:
+        ``batch_evaluate`` is side-effect free and its values never increase
+        from one round to the next, so a cached zero is final and is
+        re-committed without an evaluation.
 
     ``advance_round`` marks every entry stale, ``pop_best`` returns the
     element with the largest current value, popped keys leave the heap, and
     exact value ties resolve by insertion order.  The schedule is the plain
     one-at-a-time CELF schedule whatever the batch size, because
     *speculation* is separated from *commitment*: when a stale entry
-    surfaces, the next ``batch_size`` stale candidates in surfacing order
-    are evaluated in one vectorized call and cached, but each refresh is
-    committed one entry at a time exactly when (and only when) a
-    one-at-a-time heap would perform it, drawing the same counter sequence.
-    Speculative values the schedule never demands are simply discarded —
-    evaluation is a pure gather, so over-evaluating costs vector width, not
-    correctness.
+    surfaces, other stale candidates near the top of the heap are evaluated
+    in the same vectorized call and cached, but each refresh is committed
+    one entry at a time exactly when (and only when) a one-at-a-time heap
+    would perform it, drawing the same counter sequence.  Speculative values
+    the schedule never demands are simply discarded — evaluation is a pure
+    gather, so over-evaluating costs vector width, not correctness.
 
     The purity contract: values returned by ``batch_evaluate`` may only
     change together with an ``advance_round`` call (every greedy consumer
@@ -77,16 +112,18 @@ class BatchedLazyGreedy:
         self,
         batch_evaluate: Callable[[np.ndarray], np.ndarray],
         batch_size: int = 64,
+        pure: bool = False,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self._batch_evaluate = batch_evaluate
         self._batch_size = int(batch_size)
+        self._pure = bool(pure)
         # Entries are plain tuples (-value, counter, key, round_evaluated):
         # tuple comparison gives the (-value, counter) max-heap order without
-        # dataclass overhead on the hot path.
+        # dataclass overhead on the hot path.  An entry whose key is no
+        # longer in ``_members`` is dead and skipped when it surfaces.
         self._heap: List[Tuple[float, int, int, int]] = []
-        self._removed: Set[int] = set()
         self._members: Dict[int, float] = {}
         # Speculative evaluations for the current round: key -> value.
         self._pending: Dict[int, float] = {}
@@ -129,7 +166,6 @@ class BatchedLazyGreedy:
             values = np.asarray(values, dtype=np.float64)
         key_list = key_array.tolist()
         value_list = values.tolist()
-        self._removed.difference_update(key_list)
         base = self._next_counter
         self._next_counter = base + len(key_list)
         entries = [
@@ -145,11 +181,24 @@ class BatchedLazyGreedy:
         self._members.update(zip(key_list, value_list))
 
     def remove(self, key: int) -> None:
-        """Mark ``key`` as removed; it will be skipped when it surfaces."""
-        key = int(key)
-        if key in self._members:
-            del self._members[key]
-            self._removed.add(key)
+        """Remove ``key``; it will be skipped when it surfaces."""
+        self.discard((key,))
+
+    def discard(self, keys: Iterable[int]) -> None:
+        """Remove every queued key in ``keys`` (keys not queued are ignored).
+
+        Entries die lazily; once dead entries outnumber live ones the heap is
+        compacted and re-heapified in one pass.  That keeps the pop sequence:
+        entries compare by their unique ``(-value, counter)`` pair, so any
+        valid heap layout of the same entries pops them in the same order.
+        """
+        members = self._members
+        for key in np.asarray(keys, dtype=np.int64).tolist():
+            members.pop(key, None)
+        heap = self._heap
+        if len(heap) > 2 * len(members) + self._batch_size:
+            heap[:] = [entry for entry in heap if entry[2] in members]
+            heapq.heapify(heap)
 
     def advance_round(self) -> None:
         """Signal that the underlying solution changed (stales every entry)."""
@@ -159,40 +208,33 @@ class BatchedLazyGreedy:
     def _speculate(self, key: int) -> float:
         """Batch-evaluate ``key`` plus lookahead candidates; return its value.
 
-        Called on a pending-cache miss.  Alongside ``key``, the next stale
-        entries in surfacing order (up to ``batch_size``, stopping at the
-        first fresh entry) are evaluated in the same vectorized call and
-        cached for this round.  The lookahead entries are popped to discover
-        them and pushed back *unchanged* — a cached value only becomes a
-        committed refresh when the entry itself surfaces in
-        :meth:`pop_best`, which is what keeps the schedule (and the
-        tie-breaking counters) independent of the batch size.
+        Called on a pending-cache miss.  Alongside ``key``, up to
+        ``batch_size - 1`` stale entries are read in place from the first
+        ``batch_size`` heap slots — the shallow levels, where the next
+        entries to surface live — and evaluated in the same vectorized call,
+        then cached for this round.  Nothing is popped or pushed: a cached
+        value only becomes a committed refresh when the entry itself
+        surfaces in :meth:`pop_best`, which is what keeps the schedule (and
+        the tie-breaking counters) independent of the batch size.
         """
-        heap = self._heap
-        heappop, heappush = heapq.heappop, heapq.heappush
-        removed, members, pending = self._removed, self._members, self._pending
-        current_round = self._round
         batch = [key]
-        lookahead: List[Tuple[float, int, int, int]] = []
-        while heap and len(batch) < self._batch_size:
-            entry = heappop(heap)
-            other = entry[2]
-            if other in removed:
-                removed.discard(other)
-                continue
-            if other not in members:
-                continue  # superseded duplicate entry
-            lookahead.append(entry)
-            if entry[3] == current_round:
-                break  # fresh bound: deeper speculation is rarely consumed
-            if other not in pending:
-                batch.append(other)
-        for entry in lookahead:
-            heappush(heap, entry)
+        if self._batch_size > 1:
+            members, pending = self._members, self._pending
+            current_round, pure = self._round, self._pure
+            for negated, _counter, other, evaluated in self._heap[: self._batch_size]:
+                if (
+                    evaluated != current_round
+                    and other in members
+                    and other not in pending
+                    and not (pure and negated == 0.0)
+                ):
+                    batch.append(other)
+                    if len(batch) == self._batch_size:
+                        break
         keys = np.fromiter(batch, dtype=np.int64, count=len(batch))
         values = self._evaluate(keys)
-        pending.update(zip(batch, values.tolist()))
-        return pending[key]
+        self._pending.update(zip(batch, values.tolist()))
+        return self._pending[key]
 
     def pop_best(self) -> Optional[Tuple[int, float]]:
         """Pop the key with the largest current marginal value (or ``None``).
@@ -203,22 +245,22 @@ class BatchedLazyGreedy:
         """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
-        removed, members, pending = self._removed, self._members, self._pending
+        members, pending, pure = self._members, self._pending, self._pure
         while heap:
             entry = heappop(heap)
             key = entry[2]
-            if key in removed:
-                removed.discard(key)
-                continue
             if key not in members:
-                continue  # superseded duplicate entry
+                continue  # discarded, or a superseded duplicate entry
             if entry[3] == self._round:
                 del members[key]
                 return key, -entry[0]
             # Stale: commit a refresh exactly like a one-at-a-time heap would.
-            value = pending.get(key)
-            if value is None:
-                value = self._speculate(key)
+            if pure and entry[0] == 0.0:
+                value = 0.0  # zero is a fixed point of a monotone marginal
+            else:
+                value = pending.get(key)
+                if value is None:
+                    value = self._speculate(key)
             heappush(heap, (-value, self._next_counter, key, self._round))
             self._next_counter += 1
             members[key] = value

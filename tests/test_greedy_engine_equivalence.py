@@ -13,10 +13,18 @@ consumer — Algorithm 1, ThresholdGreedy + Fill, ``γ_max``, RM_with_Oracle,
 CA/CS-Greedy and the RMA sampling solvers.  The oracle engine is forced
 with :class:`_Delegating`, a plain :class:`RevenueOracle` that forwards to
 the RR-set oracle.
+
+The coverage engine is ``pure``, so ThresholdGreedy and Fill drop dead
+elements in bulk there and its heap never re-evaluates a zero; the oracle
+engine does neither.  The property-based cases below check that this
+pruning is invisible in the results, and the invariants check that it
+happens.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reference.lazy_heap import LazyMarginalHeap
 from repro.advertising.advertiser import Advertiser
@@ -139,6 +147,62 @@ def test_batched_heap_pop_sequence_matches_scalar(seed, batch_size):
     assert len(popped) == len(keys)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 9])
+@pytest.mark.parametrize("batch_size", [1, 4, 64])
+def test_discarding_dead_keys_keeps_the_pop_sequence(seed, batch_size):
+    """A consumer that skips dead keys sees the same live pop sequence from
+    the reference heap as from a heap the dead keys were discarded from."""
+    keys = list(range(80))
+    table = _DecayingValues(keys, seed)
+    rng = np.random.default_rng(seed + 100)
+    reference = LazyMarginalHeap(table.scalar)
+    pruned = BatchedLazyGreedy(table.batch, batch_size=batch_size, pure=True)
+    reference.push_many(keys)
+    pruned.push_array(np.asarray(keys, dtype=np.int64))
+    dead: set = set()
+    accepted = 0
+    while len(reference):
+        key, value = reference.pop_best()
+        if key in dead:
+            continue  # the consumer's rejection: no side effect
+        assert pruned.pop_best() == (key, value)
+        accepted += 1
+        table.decay()
+        reference.advance_round()
+        pruned.advance_round()
+        dying = [k for k in keys if k not in dead and rng.random() < 0.1]
+        dead.update(dying)
+        pruned.discard(np.asarray(dying, dtype=np.int64))
+    assert len(pruned) == 0 and pruned.pop_best() is None
+    assert 0 < accepted < len(keys)
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_pure_heap_never_evaluates_a_zero(pure):
+    """On a pure heap a cached zero is final: it is re-committed without an
+    evaluation and never speculated.  An impure heap re-evaluates it."""
+    keys = list(range(60))
+    table = _DecayingValues(keys, seed=4)
+    zero_evaluations = []
+
+    def evaluate(keys):
+        zero_evaluations.extend(
+            key for key in keys.tolist() if heap._members.get(key) == 0.0
+        )
+        return table.batch(keys)
+
+    heap = BatchedLazyGreedy(evaluate, batch_size=8, pure=pure)
+    reference = LazyMarginalHeap(table.scalar)
+    heap.push_array(np.asarray(keys, dtype=np.int64))
+    reference.push_many(keys)
+    while len(reference):
+        assert heap.pop_best() == reference.pop_best()
+        table.decay()
+        heap.advance_round()
+        reference.advance_round()
+    assert (not zero_evaluations) == pure
+
+
 def test_batched_heap_remove_and_membership():
     values = {k: float(k % 5) for k in range(20)}
     heap = BatchedLazyGreedy(
@@ -230,6 +294,130 @@ def test_fill_bit_identical_from_partial_allocation(graph):
     assert _allocations_equal(coverage, per_key, h)
 
 
+# --------------------------------------------------------------------- #
+# pruning is invisible: ThresholdGreedy + Fill over randomized edge cases
+# --------------------------------------------------------------------- #
+_SMALL_GRAPH = preferential_attachment_digraph(60, out_degree=3, seed=4)
+
+
+@st.composite
+def _pruning_cases(draw):
+    """An instance, an RR-set oracle and the ThresholdGreedy/Fill arguments,
+    drawn to stress the permanence of every pruned rejection."""
+    graph = _SMALL_GRAPH
+    n = graph.num_nodes
+    h = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # Tied integer costs put many budget sums exactly on a budget.
+    if draw(st.booleans()):
+        costs = rng.integers(1, 4, size=(h, n)).astype(np.float64)
+    else:
+        costs = rng.uniform(0.5, 3.0, size=(h, n))
+    # From a handful of nodes' worth (tight) to most of the graph (loose).
+    budget = draw(st.sampled_from([1.5, 6.0, 25.0, 120.0]))
+    advertisers = [
+        Advertiser(budget=budget * (1.0 + 0.3 * i), cpe=1.0 + 0.5 * (i % 2))
+        for i in range(h)
+    ]
+    model = WeightedCascadeModel(graph)
+    instance = RMInstance(graph, model, advertisers, costs)
+    # Few RR-sets leave most nodes with zero gain.
+    count = draw(st.sampled_from([6, 40, 300]))
+    probabilities = np.asarray(model.edge_probabilities(), dtype=np.float64)
+    collection = RRCollection(n, h)
+    for rr_set in RRSetGenerator(graph, probabilities).generate_batch(count, rng=rng):
+        collection.add(rr_set, int(rng.integers(0, h)))
+    oracle = RRSetOracle(collection, instance.gamma)
+
+    budgets = (
+        instance.budgets() * rng.uniform(0.5, 1.5, size=h) if draw(st.booleans()) else None
+    )
+    candidates = (
+        rng.permutation(n)[: n // 2].tolist() if draw(st.booleans()) else None
+    )
+    gamma_top = gamma_max(instance, oracle, budgets, candidates)
+    gamma = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])) * gamma_top
+    start = Allocation(h)
+    pool = candidates if candidates is not None else list(range(n))
+    for node in rng.permutation(pool)[: draw(st.integers(0, 6))].tolist():
+        start.assign(int(node), int(rng.integers(0, h)))
+    return instance, oracle, gamma, budgets, candidates, start
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=_pruning_cases())
+def test_pruning_is_invisible(case):
+    instance, oracle, gamma, budgets, candidates, start = case
+    h = instance.num_advertisers
+    coverage, b_coverage = threshold_greedy(
+        instance, oracle, gamma, budgets=budgets, candidates=candidates
+    )
+    per_key, b_per_key = threshold_greedy(
+        instance, _Delegating(oracle), gamma, budgets=budgets, candidates=candidates
+    )
+    assert b_coverage == b_per_key
+    assert _allocations_equal(coverage, per_key, h)
+    filled = fill(instance, oracle, start, budgets=budgets, candidates=candidates)
+    filled_per_key = fill(
+        instance, _Delegating(oracle), start, budgets=budgets, candidates=candidates
+    )
+    assert _allocations_equal(filled, filled_per_key, h)
+
+
+def _heap_traffic(monkeypatch):
+    """Count ``pop_best`` calls and evaluations of entries cached at zero."""
+    traffic = {"pops": 0, "zero_evaluations": 0}
+    init, pop_best = BatchedLazyGreedy.__init__, BatchedLazyGreedy.pop_best
+
+    def counted_init(self, batch_evaluate, *args, **kwargs):
+        def evaluate(keys):
+            traffic["zero_evaluations"] += sum(
+                self._members.get(key) == 0.0 for key in keys.tolist()
+            )
+            return batch_evaluate(keys)
+
+        init(self, evaluate, *args, **kwargs)
+
+    def counted_pop(self):
+        traffic["pops"] += 1
+        return pop_best(self)
+
+    monkeypatch.setattr(BatchedLazyGreedy, "__init__", counted_init)
+    monkeypatch.setattr(BatchedLazyGreedy, "pop_best", counted_pop)
+    return traffic
+
+
+@pytest.mark.parametrize("count", [60, 500])
+@pytest.mark.parametrize("from_threshold", [False, True])
+def test_fill_pops_only_what_it_accepts(graph, monkeypatch, count, from_threshold):
+    """On the coverage engine every element Fill pops is accepted, and no
+    zero-valued entry reaches the evaluator; the oracle engine pops and
+    re-evaluates dead elements (the check is not vacuous)."""
+    instance, oracle = _instance_and_oracle(graph, count=count)
+    h = instance.num_advertisers
+    start = (
+        threshold_greedy(instance, oracle, 0.5, run_fill=False)[0]
+        if from_threshold
+        else Allocation(h)
+    )
+    traffic = _heap_traffic(monkeypatch)
+    for engine_oracle, pruned in ((oracle, True), (_Delegating(oracle), False)):
+        traffic.update(pops=0, zero_evaluations=0)
+        result = fill(instance, engine_oracle, start)
+        accepted = len(result.assigned_nodes()) - len(start.assigned_nodes())
+        assert accepted > 0
+        if pruned:
+            assert traffic["pops"] == accepted
+            assert traffic["zero_evaluations"] == 0
+        else:
+            assert traffic["pops"] > accepted
+            assert traffic["zero_evaluations"] > 0
+
+
 @pytest.mark.parametrize("h", [1, 3, 4])
 def test_rm_with_oracle_bit_identical(graph, h):
     """Covers all three dispatch arms of Algorithm 5 (h=1, h≤3, h≥4)."""
@@ -275,6 +463,8 @@ def test_engines_set_their_own_batch_size(graph):
     per_key = engine_for(instance, _Delegating(oracle))
     assert coverage.batch_size == batched_greedy.DEFAULT_BATCH_SIZE
     assert per_key.batch_size == 1
+    # Only coverage evaluations are pure, so only they are ever pruned.
+    assert coverage.pure and not per_key.pure
 
 
 # --------------------------------------------------------------------- #

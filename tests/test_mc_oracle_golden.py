@@ -58,7 +58,7 @@ def _allocation(allocation: Allocation) -> dict:
 def _greedy(advertiser, candidates=None):
     def run(instance, oracle):
         best, selected, stopple = greedy_single_advertiser(
-            instance, oracle, advertiser, candidates=candidates, policy=SEED
+            instance, oracle, advertiser, candidates=candidates
         )
         return {
             "best": sorted(best),
@@ -72,7 +72,7 @@ def _greedy(advertiser, candidates=None):
 
 def _threshold(gamma):
     def run(instance, oracle):
-        allocation, depleted = threshold_greedy(instance, oracle, gamma, policy=SEED)
+        allocation, depleted = threshold_greedy(instance, oracle, gamma)
         return {
             "depleted": depleted,
             "revenue": oracle.total_revenue(allocation),
@@ -86,7 +86,7 @@ def _fill_partial(instance, oracle):
     start = Allocation(instance.num_advertisers)
     for advertiser, node in [(0, 3), (0, 17), (1, 25), (2, 4), (2, 9)]:
         start.assign(node, advertiser)
-    allocation = fill(instance, oracle, start, policy=SEED)
+    allocation = fill(instance, oracle, start)
     return {"revenue": oracle.total_revenue(allocation), "allocation": _allocation(allocation)}
 
 
@@ -112,7 +112,7 @@ def _baseline(solver):
 
 
 def _gamma_max(instance, oracle):
-    return {"gamma_max": gamma_max(instance, oracle, policy=SEED)}
+    return {"gamma_max": gamma_max(instance, oracle)}
 
 
 RECIPES = {

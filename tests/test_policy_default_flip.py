@@ -13,7 +13,9 @@ Two guarantees pin the flip of the default from the serial seed path to
    ``use_batched_greedy`` / loose ``n_jobs`` / ``fast``) now raises
    ``TypeError``, so old code fails loudly instead of silently running on
    different engines.  The same holds for the retired ``greedy_engine``
-   policy field: the greedy evaluator follows the oracle, with no knob.
+   policy field: the greedy evaluator follows the oracle, with no knob —
+   and for the ``policy=`` the pure greedy routines (Greedy,
+   ThresholdGreedy, Fill, ``γ_max``, Search) never read.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.sampling_solver import (
     one_batch_rm,
     rm_without_oracle,
 )
+from repro.core.search import gamma_max, search_threshold
 from repro.core.threshold_greedy import fill, threshold_greedy
 from repro.datasets.registry import build_dataset
 from repro.experiments.runner import run_algorithm
@@ -175,8 +178,13 @@ class TestLegacyKwargsRaiseTypeError:
                 rm_with_oracle(dataset.instance, rr_oracle, **kwargs)
 
     def test_greedy_family(self, dataset, rr_oracle):
+        # The pure greedy routines never read a policy, so they take none.
         instance = dataset.instance
-        for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):
+        for kwargs in (
+            {"use_batched_greedy": True},
+            {"greedy_engine": "batched"},
+            {"policy": ExecutionPolicy.seed()},
+        ):
             with pytest.raises(TypeError):
                 greedy_single_advertiser(
                     instance, rr_oracle, 0, instance.budget(0), **kwargs
@@ -185,6 +193,10 @@ class TestLegacyKwargsRaiseTypeError:
                 threshold_greedy(instance, rr_oracle, 1.0, **kwargs)
             with pytest.raises(TypeError):
                 fill(instance, rr_oracle, object(), **kwargs)
+            with pytest.raises(TypeError):
+                gamma_max(instance, rr_oracle, **kwargs)
+            with pytest.raises(TypeError):
+                search_threshold(instance, rr_oracle, 0.1, 1, **kwargs)
 
     def test_baselines(self, dataset, rr_oracle):
         for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):

@@ -470,3 +470,29 @@ class TestMutableGraphView:
         view.apply([RemoveNode(1)])
         assert view.num_nodes == n
         assert not any(1 in (u, v) for u, v in view.edges())
+
+
+# --------------------------------------------------------------------------- #
+# memory: every stored slot owns its members
+# --------------------------------------------------------------------------- #
+def _assert_slots_own_their_members(store):
+    """No slot array is a view: a view would keep its source buffer (a
+    whole pool shard, or a whole restored payload) alive."""
+    assert all(members.base is None for members in store._members)
+
+
+def test_stored_slots_are_not_views(micro_graph):
+    _assert_slots_own_their_members(_make_store(micro_graph, count=100))
+    pool_policy = ExecutionPolicy(n_jobs=2, maintenance="pool")
+    with Runtime(pool_policy) as runtime:
+        store = _make_store(micro_graph, seed=9, policy=pool_policy, runtime=runtime)
+        rng = np.random.default_rng(3)
+        redrawn = sum(
+            store.apply_deltas(_random_batch(rng, store.view)).redrawn for _ in range(2)
+        )
+        assert redrawn > 2  # the pool path only shards a redraw of 2+ slots
+        _assert_slots_own_their_members(store)
+        restored = RRStore.from_slots(
+            store.view, store.cpes, store.seed, *store.export_slots()
+        )
+    _assert_slots_own_their_members(restored)
