@@ -11,7 +11,7 @@ as bad as ``O(1/n)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -20,21 +20,17 @@ from repro.advertising.oracle import RevenueOracle
 from repro.baselines.common import budgeted_allocation, greedy_result
 from repro.core.result import SolverResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
-
 
 def ca_greedy(
     instance: RMInstance,
     oracle: RevenueOracle,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> SolverResult:
     """Run CA-Greedy and return a :class:`SolverResult`.
 
-    ``policy`` is accepted for a uniform solver signature; the evaluator
-    follows the oracle (:func:`repro.core.batched_greedy.engine_for`).
+    The evaluator follows the oracle
+    (:func:`repro.core.batched_greedy.engine_for`).
     """
     allocation, closed = budgeted_allocation(
         instance, oracle, budgets, candidates, rank_by_rate=False

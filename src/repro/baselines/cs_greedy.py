@@ -9,7 +9,7 @@ main theoretical gap the paper closes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -18,21 +18,17 @@ from repro.advertising.oracle import RevenueOracle
 from repro.baselines.common import budgeted_allocation, greedy_result
 from repro.core.result import SolverResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
-
 
 def cs_greedy(
     instance: RMInstance,
     oracle: RevenueOracle,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> SolverResult:
     """Run CS-Greedy and return a :class:`SolverResult`.
 
-    ``policy`` is accepted for a uniform solver signature; the evaluator
-    follows the oracle (:func:`repro.core.batched_greedy.engine_for`).
+    The evaluator follows the oracle
+    (:func:`repro.core.batched_greedy.engine_for`).
     """
     allocation, closed = budgeted_allocation(
         instance, oracle, budgets, candidates, rank_by_rate=True

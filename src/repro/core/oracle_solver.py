@@ -11,7 +11,7 @@ matching Theorem 3.5 / Eq. (1) of the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from repro.core.greedy import greedy_single_advertiser
 from repro.core.result import SearchByproducts, SolverResult
 from repro.core.search import search_threshold
 from repro.exceptions import SolverError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
 
 
 def approximation_ratio(num_advertisers: int, tau: float) -> float:
@@ -46,7 +43,6 @@ def rm_with_oracle(
     tau: float = 0.1,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> SolverResult:
     """Algorithm 5 — solve the RM problem given a revenue oracle.
 
@@ -59,10 +55,6 @@ def rm_with_oracle(
         relaxed budgets ``(1 + ϱ/2)·B_i`` through this parameter.
     candidates:
         Optional candidate node pool (defaults to all nodes).
-    policy:
-        Accepted for a uniform solver signature; no greedy loop depends on
-        it — the evaluator follows the oracle
-        (:func:`repro.core.batched_greedy.engine_for`).
 
     Returns
     -------

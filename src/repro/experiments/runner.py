@@ -164,11 +164,11 @@ def run_algorithm(
             if oracle is None:
                 raise ExperimentError(f"{algorithm} requires a revenue oracle")
             if algorithm == "RM_with_Oracle":
-                result = rm_with_oracle(instance, oracle, policy=effective)
+                result = rm_with_oracle(instance, oracle)
             elif algorithm == "CA-Greedy":
-                result = ca_greedy(instance, oracle, policy=effective)
+                result = ca_greedy(instance, oracle)
             else:
-                result = cs_greedy(instance, oracle, policy=effective)
+                result = cs_greedy(instance, oracle)
         else:
             raise ExperimentError(
                 f"unknown algorithm {algorithm!r}; expected one of "

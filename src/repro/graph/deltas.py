@@ -5,11 +5,16 @@ CSR arrays never moving underneath them.  :class:`MutableGraphView` is the
 mutability layer on top: it owns the *current* graph together with the
 per-advertiser edge-probability arrays, accepts **typed delta batches**
 (:class:`AddEdge`, :class:`RemoveEdge`, :class:`UpdateProbability`,
-:class:`AddNode`, :class:`RemoveNode`), and rebuilds a fresh frozen CSR
-snapshot per batch.  Every applied batch advances an epoch counter and is
-appended to a delta log, so downstream consumers (the incremental RR-set
-store in :mod:`repro.rrsets.store`) can reason about *what changed* instead
-of diffing graphs.
+:class:`AddNode`, :class:`RemoveNode`), and publishes a fresh frozen snapshot
+per batch.  Every applied batch advances an epoch counter, so downstream
+consumers (the incremental RR-set store in :mod:`repro.rrsets.store`) can
+reason about *what changed* instead of diffing graphs.
+
+The snapshot is kept as arrays — sorted packed edge keys, an ``(h, m)``
+probability matrix and the CSR graph itself — and a batch is validated
+against a per-batch overlay of the edges it touches, then committed with
+vectorized array edits.  The cost of a batch is a few O(m) array copies,
+not a Python walk over the edge set.
 
 The dirty-region contract
 -------------------------
@@ -32,10 +37,10 @@ batch therefore dirties exactly the nodes whose in-blocks it touches:
 
 :meth:`MutableGraphView.apply` returns a :class:`DeltaEffect` carrying this
 dirty region; the RR store intersects it with each RR-set's member signature
-to decide what to invalidate.  Canonical edge order of the rebuilt snapshot
-is the same lexicographic ``(source, target)`` order :class:`CSRDiGraph`
-derives itself, so the probability arrays stay aligned with
-``graph.sources`` / ``graph.targets`` by construction.
+to decide what to invalidate.  The edge keys sort in the same lexicographic
+``(source, target)`` order :class:`CSRDiGraph` derives itself, so the
+probability arrays stay aligned with ``graph.sources`` / ``graph.targets`` by
+construction.
 """
 
 from __future__ import annotations
@@ -50,6 +55,20 @@ from repro.graph.digraph import CSRDiGraph
 
 _EMPTY_NODES = np.empty(0, dtype=np.int64)
 _EMPTY_NODES.setflags(write=False)
+
+#: An edge ``(u, v)`` is keyed ``(u << _SHIFT) | v``; with ids below
+#: ``2**31`` every key is a non-negative int64 and key order is the
+#: canonical ``(source, target)`` order.
+_SHIFT = 32
+_TARGET_MASK = (1 << _SHIFT) - 1
+_MAX_NODES = 1 << 31
+
+
+def _check_key_space(num_nodes: int) -> None:
+    if num_nodes > _MAX_NODES:
+        raise GraphError(
+            f"num_nodes {num_nodes} exceeds the {_MAX_NODES} node ids an edge key can hold"
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -149,12 +168,20 @@ class DeltaEffect:
 
 
 class MutableGraphView:
-    """A mutable (graph, per-advertiser probabilities) pair with a delta log.
+    """A mutable (graph, per-advertiser probabilities) pair.
+
+    The current snapshot is held as arrays: the sorted packed edge keys
+    ``(source << 32) | target``, the ``(h, m)`` probability matrix whose
+    column ``k`` belongs to key ``k``, and the frozen :class:`CSRDiGraph`
+    built from those keys.  :meth:`apply` never copies the edge set into
+    Python objects; it validates a batch against a small overlay of the
+    touched edges and commits it with a handful of vectorized array edits.
 
     Parameters
     ----------
     graph:
-        The initial frozen snapshot.
+        The initial frozen snapshot (in canonical edge order, as every
+        :class:`CSRDiGraph` constructor produces it).
     advertiser_edge_probabilities:
         One probability array per advertiser, aligned with the graph's
         canonical edge order (exactly what
@@ -169,10 +196,8 @@ class MutableGraphView:
     ):
         if len(advertiser_edge_probabilities) == 0:
             raise GraphError("at least one advertiser probability array is required")
+        _check_key_space(graph.num_nodes)
         self._num_advertisers = len(advertiser_edge_probabilities)
-        self._num_nodes = graph.num_nodes
-        sources = graph.sources
-        targets = graph.targets
         matrix = np.empty((self._num_advertisers, graph.num_edges), dtype=np.float64)
         for row, probabilities in enumerate(advertiser_edge_probabilities):
             probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -185,27 +210,18 @@ class MutableGraphView:
             ):
                 raise GraphError("edge probabilities must lie in [0, 1]")
             matrix[row] = probabilities
-        # Edge registry: (u, v) -> per-advertiser probability vector.  The
-        # canonical (lexicographic) order is recovered by sorting the keys at
-        # snapshot time, which matches CSRDiGraph's own edge order.
-        self._edges: Dict[Tuple[int, int], np.ndarray] = {
-            (int(sources[k]), int(targets[k])): matrix[:, k].copy()
-            for k in range(graph.num_edges)
-        }
-        self._out_map: Dict[int, Set[int]] = {}
-        self._in_map: Dict[int, Set[int]] = {}
-        for u, v in self._edges:
-            self._out_map.setdefault(u, set()).add(v)
-            self._in_map.setdefault(v, set()).add(u)
         self._epoch = 0
-        self._log: List[Tuple[int, GraphDelta]] = []
+        self._commit(graph, (graph.sources << _SHIFT) | graph.targets, matrix)
+
+    def _commit(self, graph: CSRDiGraph, keys: np.ndarray, matrix: np.ndarray) -> None:
+        """Publish a snapshot; every array it exposes is read-only."""
+        keys.setflags(write=False)
+        matrix.setflags(write=False)
         self._graph = graph
-        self._probabilities = [
-            np.asarray(p, dtype=np.float64).copy()
-            for p in advertiser_edge_probabilities
-        ]
-        for array in self._probabilities:
-            array.setflags(write=False)
+        self._num_nodes = graph.num_nodes
+        self._keys = keys
+        self._matrix = matrix
+        self._probabilities = list(matrix)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -233,52 +249,58 @@ class MutableGraphView:
     @property
     def num_edges(self) -> int:
         """Current edge count."""
-        return len(self._edges)
+        return int(self._keys.size)
 
     @property
     def epoch(self) -> int:
         """Number of delta batches applied so far."""
         return self._epoch
 
-    @property
-    def log(self) -> Tuple[Tuple[int, GraphDelta], ...]:
-        """Every applied delta as ``(epoch, delta)``, in application order."""
-        return tuple(self._log)
+    def _column(self, source: int, target: int) -> Optional[int]:
+        """The snapshot column of an edge, or ``None`` when it is absent."""
+        if not (0 <= source < self._num_nodes and 0 <= target < self._num_nodes):
+            return None
+        key = (source << _SHIFT) | target
+        column = int(np.searchsorted(self._keys, key))
+        if column < self._keys.size and int(self._keys[column]) == key:
+            return column
+        return None
 
     def has_edge(self, source: int, target: int) -> bool:
         """Whether the directed edge currently exists."""
-        return (int(source), int(target)) in self._edges
+        return self._column(int(source), int(target)) is not None
 
     def edge_probability(self, source: int, target: int, advertiser: int) -> float:
         """Current activation probability of an edge for one advertiser."""
         key = (int(source), int(target))
-        if key not in self._edges:
+        column = self._column(*key)
+        if column is None:
             raise GraphError(f"edge {key} does not exist")
         if not 0 <= advertiser < self._num_advertisers:
             raise GraphError(f"advertiser {advertiser} out of range")
-        return float(self._edges[key][advertiser])
+        return float(self._matrix[advertiser, column])
 
     def edges(self) -> List[Tuple[int, int]]:
         """Current edges in canonical (lexicographic) order."""
-        return sorted(self._edges)
+        return list(zip(self._graph.sources.tolist(), self._graph.targets.tolist()))
 
     # ------------------------------------------------------------------ #
     # delta application
     # ------------------------------------------------------------------ #
     def apply(self, deltas: Iterable[GraphDelta]) -> DeltaEffect:
-        """Apply one batch of deltas, rebuild the snapshot, return the effect.
+        """Apply one batch of deltas, publish a new snapshot, return the effect.
 
         Deltas are validated and applied **in order** against the evolving
         state, so a batch may add an edge and remove it again (an inverse
-        pair — still dirties the target conservatively).  Validation failures
-        raise :class:`~repro.exceptions.GraphError` *before* any state is
-        mutated for that batch: the batch is applied onto a scratch copy and
-        committed atomically.
+        pair — still dirties the target conservatively).  The evolving state
+        is the snapshot seen through a per-batch overlay: a dict holding only
+        the edges this batch touched, mapped to their current probability
+        vector, or ``None`` once deleted.  Validation failures raise
+        :class:`~repro.exceptions.GraphError` before anything is committed,
+        so a rejected batch leaves the view exactly as it was.
         """
         deltas = list(deltas)
-        edges = dict(self._edges)
-        out_map = {node: set(peers) for node, peers in self._out_map.items()}
-        in_map = {node: set(peers) for node, peers in self._in_map.items()}
+        overlay: Dict[Tuple[int, int], Optional[np.ndarray]] = {}
         num_nodes = self._num_nodes
         dirty: Set[int] = set()
         dirty_by_advertiser: Dict[int, Set[int]] = {}
@@ -291,40 +313,61 @@ class MutableGraphView:
                 raise GraphError(f"node {node} is out of range [0, {num_nodes})")
             return node
 
+        def current(u: int, v: int) -> Optional[np.ndarray]:
+            if (u, v) in overlay:
+                return overlay[(u, v)]
+            column = self._column(u, v)
+            return None if column is None else self._matrix[:, column]
+
+        def neighbours(x: int, outgoing: bool) -> List[int]:
+            peers: Set[int] = set()
+            if x < self._num_nodes:
+                snapshot = (
+                    self._graph.out_neighbors(x)
+                    if outgoing
+                    else self._graph.in_neighbors(x)
+                )
+                peers.update(snapshot.tolist())
+            for (u, v), vector in overlay.items():
+                if (u if outgoing else v) == x:
+                    peer = v if outgoing else u
+                    if vector is None:
+                        peers.discard(peer)
+                    else:
+                        peers.add(peer)
+            return sorted(peers)
+
         for delta in deltas:
             if isinstance(delta, AddEdge):
                 u, v = check_node(delta.source), check_node(delta.target)
                 if u == v:
                     raise GraphError("self-loops are not supported")
-                if (u, v) in edges:
+                if current(u, v) is not None:
                     raise GraphError(f"edge ({u}, {v}) already exists")
-                probabilities = np.asarray(delta.probabilities, dtype=np.float64)
+                probabilities = np.array(delta.probabilities, dtype=np.float64)
                 if probabilities.shape != (h,):
                     raise GraphError(
                         f"AddEdge needs one probability per advertiser ({h})"
                     )
                 if probabilities.min() < 0 or probabilities.max() > 1:
                     raise GraphError("edge probabilities must lie in [0, 1]")
-                edges[(u, v)] = probabilities
-                out_map.setdefault(u, set()).add(v)
-                in_map.setdefault(v, set()).add(u)
+                overlay[(u, v)] = probabilities
                 dirty.add(v)
             elif isinstance(delta, RemoveEdge):
                 u, v = check_node(delta.source), check_node(delta.target)
-                if (u, v) not in edges:
+                if current(u, v) is None:
                     raise GraphError(f"edge ({u}, {v}) does not exist")
-                del edges[(u, v)]
-                out_map[u].discard(v)
-                in_map[v].discard(u)
+                overlay[(u, v)] = None
                 dirty.add(v)
             elif isinstance(delta, UpdateProbability):
                 u, v = check_node(delta.source), check_node(delta.target)
-                if (u, v) not in edges:
+                vector = current(u, v)
+                if vector is None:
                     raise GraphError(f"edge ({u}, {v}) does not exist")
                 p = float(delta.probability)
                 if not 0.0 <= p <= 1.0:
                     raise GraphError("edge probabilities must lie in [0, 1]")
-                vector = edges[(u, v)].copy()
+                vector = vector.copy()
                 if delta.advertiser is None:
                     vector[:] = p
                     dirty.add(v)
@@ -335,51 +378,28 @@ class MutableGraphView:
                         )
                     vector[delta.advertiser] = p
                     dirty_by_advertiser.setdefault(int(delta.advertiser), set()).add(v)
-                edges[(u, v)] = vector
+                overlay[(u, v)] = vector
             elif isinstance(delta, AddNode):
                 if int(delta.count) <= 0:
                     raise GraphError("AddNode.count must be positive")
                 num_nodes += int(delta.count)
+                _check_key_space(num_nodes)
                 nodes_changed = True
             elif isinstance(delta, RemoveNode):
                 x = check_node(delta.node)
-                for v in sorted(out_map.get(x, ())):
-                    del edges[(x, v)]
-                    in_map[v].discard(x)
+                for v in neighbours(x, outgoing=True):
+                    overlay[(x, v)] = None
                     dirty.add(v)
-                in_edges = sorted(in_map.get(x, ()))
+                in_edges = neighbours(x, outgoing=False)
                 for u in in_edges:
-                    del edges[(u, x)]
-                    out_map[u].discard(x)
+                    overlay[(u, x)] = None
                 if in_edges:
                     dirty.add(x)
-                out_map[x] = set()
-                in_map[x] = set()
             else:
                 raise GraphError(f"unknown delta type: {type(delta).__name__}")
 
-        # Commit: rebuild the frozen snapshot in canonical order.
-        keys = sorted(edges)
-        if keys:
-            sources = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
-            targets = np.fromiter((v for _, v in keys), dtype=np.int64, count=len(keys))
-            matrix = np.stack([edges[key] for key in keys], axis=1)
-        else:
-            sources = np.empty(0, dtype=np.int64)
-            targets = np.empty(0, dtype=np.int64)
-            matrix = np.empty((h, 0), dtype=np.float64)
-        graph = CSRDiGraph(num_nodes, sources, targets)
-        assert graph.num_edges == len(keys)  # canonical order already unique
-        self._edges = edges
-        self._out_map = out_map
-        self._in_map = in_map
-        self._num_nodes = num_nodes
-        self._graph = graph
-        self._probabilities = [matrix[row].copy() for row in range(h)]
-        for array in self._probabilities:
-            array.setflags(write=False)
+        self._commit(*self._patched(num_nodes, overlay))
         self._epoch += 1
-        self._log.extend((self._epoch, delta) for delta in deltas)
 
         def frozen(nodes: Set[int]) -> np.ndarray:
             if not nodes:
@@ -399,9 +419,50 @@ class MutableGraphView:
             num_nodes_changed=nodes_changed,
         )
 
+    def _patched(
+        self, num_nodes: int, overlay: Mapping[Tuple[int, int], Optional[np.ndarray]]
+    ) -> Tuple[CSRDiGraph, np.ndarray, np.ndarray]:
+        """The snapshot with a batch's overlay folded in, as new arrays.
+
+        Overlaid snapshot edges are updated in place in a copy of the matrix
+        or masked out when deleted; new edges are sorted and inserted at
+        their ``searchsorted`` positions, so the keys stay in canonical
+        order and the graph skips the constructor's dedup and lexsort.
+        """
+        keys, matrix = self._keys, self._matrix
+        if overlay:
+            touched = np.array([(u << _SHIFT) | v for u, v in overlay], dtype=np.int64)
+            vectors = list(overlay.values())
+            live = np.array([vector is not None for vector in vectors])
+            columns = np.searchsorted(keys, touched)
+            known = columns < keys.size
+            known[known] = keys[columns[known]] == touched[known]
+            updated, deleted, added = known & live, known & ~live, ~known & live
+
+            def stacked(mask: np.ndarray) -> np.ndarray:
+                return np.stack([vectors[i] for i in np.flatnonzero(mask)], axis=1)
+
+            if updated.any():
+                matrix = matrix.copy()
+                matrix[:, columns[updated]] = stacked(updated)
+            if deleted.any():
+                keep = np.ones(keys.size, dtype=bool)
+                keep[columns[deleted]] = False
+                keys, matrix = keys[keep], matrix[:, keep]
+            if added.any():
+                order = np.argsort(touched[added])
+                new_keys = touched[added][order]
+                at = np.searchsorted(keys, new_keys)
+                keys = np.insert(keys, at, new_keys)
+                matrix = np.insert(matrix, at, stacked(added)[:, order], axis=1)
+        graph = CSRDiGraph.from_sorted_edges(
+            num_nodes, keys >> _SHIFT, keys & _TARGET_MASK
+        )
+        return graph, keys, matrix
+
     def __repr__(self) -> str:
         return (
             f"MutableGraphView(num_nodes={self._num_nodes}, "
-            f"num_edges={len(self._edges)}, h={self._num_advertisers}, "
+            f"num_edges={self.num_edges}, h={self._num_advertisers}, "
             f"epoch={self._epoch})"
         )

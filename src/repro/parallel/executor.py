@@ -367,6 +367,23 @@ def _resolve_payload_transport(payload_mode: str, payload: Any) -> str:
     return "shm" if _payload_array_bytes(payload) >= AUTO_SHM_MIN_BYTES else "pickle"
 
 
+def _map_payload(obj: Any, leaf: Callable[[Any], Any]) -> Any:
+    """Rebuild ``obj``'s tuple/list/dict nesting with ``leaf`` applied to
+    every other object.
+
+    Module-level on purpose: a recursive closure is a reference cycle, and
+    one that captures a payload's arrays keeps them alive until the next
+    cyclic collection, long after the payload itself is dropped.
+    """
+    if isinstance(obj, tuple):
+        return tuple(_map_payload(item, leaf) for item in obj)
+    if isinstance(obj, list):
+        return [_map_payload(item, leaf) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _map_payload(value, leaf) for key, value in obj.items()}
+    return leaf(obj)
+
+
 def _encode_shm_payload(payload: Any):
     """Pack ``payload``'s arrays into one shared segment.
 
@@ -380,7 +397,7 @@ def _encode_shm_payload(payload: Any):
     arrays: Dict[str, np.ndarray] = {}
     counter = [0]
 
-    def walk(obj: Any) -> Any:
+    def pack(obj: Any) -> Any:
         if isinstance(obj, CSRDiGraph):
             prefix = f"g{counter[0]}"
             counter[0] += 1
@@ -392,15 +409,9 @@ def _encode_shm_payload(payload: Any):
             counter[0] += 1
             arrays[key] = obj
             return _ArrayRef(key)
-        if isinstance(obj, tuple):
-            return tuple(walk(item) for item in obj)
-        if isinstance(obj, list):
-            return [walk(item) for item in obj]
-        if isinstance(obj, dict):
-            return {key: walk(value) for key, value in obj.items()}
         return obj
 
-    skeleton = walk(payload)
+    skeleton = _map_payload(payload, pack)
     if not arrays:
         return None
     segment = storage.pack_to_shm(arrays)
@@ -419,7 +430,7 @@ def _decode_shm_payload(wire: "_ShmPayload") -> Any:
         segment.buf, storage.header_from_bytes(wire.header_bytes)
     )
 
-    def build(obj: Any) -> Any:
+    def unpack(obj: Any) -> Any:
         if isinstance(obj, _ArrayRef):
             return views[obj.key]
         if isinstance(obj, _GraphRef):
@@ -428,15 +439,9 @@ def _decode_shm_payload(wire: "_ShmPayload") -> Any:
                 for name in storage.GRAPH_ARRAY_NAMES
             }
             return storage.graph_from_arrays(obj.num_nodes, parts)
-        if isinstance(obj, tuple):
-            return tuple(build(item) for item in obj)
-        if isinstance(obj, list):
-            return [build(item) for item in obj]
-        if isinstance(obj, dict):
-            return {key: build(value) for key, value in obj.items()}
         return obj
 
-    return build(wire.skeleton)
+    return _map_payload(wire.skeleton, unpack)
 
 
 #: Segments whose close() failed because some view still exports the buffer.

@@ -91,7 +91,7 @@ def _fill_partial(instance, oracle):
 
 
 def _rm_with_oracle(instance, oracle):
-    result = rm_with_oracle(instance, oracle, policy=SEED)
+    result = rm_with_oracle(instance, oracle)
     return {
         "revenue": result.revenue,
         "allocation": _allocation(result.allocation),
@@ -101,7 +101,7 @@ def _rm_with_oracle(instance, oracle):
 
 def _baseline(solver):
     def run(instance, oracle):
-        result = solver(instance, oracle, policy=SEED)
+        result = solver(instance, oracle)
         return {
             "revenue": result.revenue,
             "allocation": _allocation(result.allocation),

@@ -43,7 +43,7 @@ from repro.core.threshold_greedy import fill, threshold_greedy
 from repro.datasets.registry import build_dataset
 from repro.experiments.runner import run_algorithm
 from repro.rrsets.uniform import UniformRRSampler
-from repro.runtime import ExecutionPolicy
+from repro.runtime import ExecutionPolicy, Runtime
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "preflip_golden.json"
 SEED = ExecutionPolicy.seed()
@@ -113,24 +113,20 @@ class TestSeedPolicyMatchesPreflipGolden:
         assert _fingerprint(ti_csrm(dataset.instance, _ti())) == golden["TI-CSRM"]
 
     def test_cs_greedy(self, dataset, golden, rr_oracle):
-        result = cs_greedy(dataset.instance, rr_oracle, policy=SEED)
+        result = cs_greedy(dataset.instance, rr_oracle)
         assert _fingerprint(result) == golden["CS-Greedy"]
 
     def test_ca_greedy(self, dataset, golden, rr_oracle):
-        result = ca_greedy(dataset.instance, rr_oracle, policy=SEED)
+        result = ca_greedy(dataset.instance, rr_oracle)
         assert _fingerprint(result) == golden["CA-Greedy"]
 
     def test_greedy_engines_agree_on_golden_allocations(self, dataset, golden, rr_oracle):
-        """The greedy loops do not read the policy, so even the fast policy
-        reproduces the golden *allocations* when the oracle's RR-set
+        """The greedy loops take no policy, so even under a fast runtime they
+        reproduce the golden *allocations* when the oracle's RR-set
         collection is pinned to the seed sampler."""
-        fast = ExecutionPolicy.fast()
-        assert _fingerprint(cs_greedy(dataset.instance, rr_oracle, policy=fast)) == golden[
-            "CS-Greedy"
-        ]
-        assert _fingerprint(ca_greedy(dataset.instance, rr_oracle, policy=fast)) == golden[
-            "CA-Greedy"
-        ]
+        with Runtime(ExecutionPolicy.fast()):
+            assert _fingerprint(cs_greedy(dataset.instance, rr_oracle)) == golden["CS-Greedy"]
+            assert _fingerprint(ca_greedy(dataset.instance, rr_oracle)) == golden["CA-Greedy"]
 
 
 # --------------------------------------------------------------------------- #
@@ -173,7 +169,11 @@ class TestLegacyKwargsRaiseTypeError:
                 ExecutionPolicy.fast().evolve(greedy_engine=engine)
 
     def test_oracle_solver(self, dataset, rr_oracle):
-        for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):
+        for kwargs in (
+            {"use_batched_greedy": True},
+            {"greedy_engine": "batched"},
+            {"policy": ExecutionPolicy.seed()},
+        ):
             with pytest.raises(TypeError):
                 rm_with_oracle(dataset.instance, rr_oracle, **kwargs)
 
@@ -199,7 +199,11 @@ class TestLegacyKwargsRaiseTypeError:
                 search_threshold(instance, rr_oracle, 0.1, 1, **kwargs)
 
     def test_baselines(self, dataset, rr_oracle):
-        for kwargs in ({"use_batched_greedy": True}, {"greedy_engine": "batched"}):
+        for kwargs in (
+            {"use_batched_greedy": True},
+            {"greedy_engine": "batched"},
+            {"policy": ExecutionPolicy.seed()},
+        ):
             with pytest.raises(TypeError):
                 cs_greedy(dataset.instance, rr_oracle, **kwargs)
             with pytest.raises(TypeError):

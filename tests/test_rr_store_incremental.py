@@ -18,9 +18,10 @@ import os
 import numpy as np
 import pytest
 
+from reference.graph_view import MutableGraphView as ReferenceGraphView
 from repro.diffusion.models import WeightedCascadeModel
 from repro.exceptions import GraphError, SamplingError
-from repro.graph import preferential_attachment_digraph
+from repro.graph import CSRDiGraph, preferential_attachment_digraph
 from repro.graph.deltas import (
     AddEdge,
     AddNode,
@@ -412,13 +413,13 @@ class TestMutableGraphView:
         assert view.advertiser_edge_probabilities[0][index] == 0.5
         assert view.advertiser_edge_probabilities[1][index] == 0.6
 
-    def test_epoch_and_log_advance_per_batch(self, view):
+    def test_epoch_advances_per_batch(self, view):
         u, v = view.edges()[0]
         assert view.epoch == 0
-        view.apply([UpdateProbability(u, v, 0.4)])
-        view.apply([UpdateProbability(u, v, 0.3, advertiser=1)])
+        first = view.apply([UpdateProbability(u, v, 0.4)])
+        second = view.apply([UpdateProbability(u, v, 0.3, advertiser=1)])
+        assert (first.epoch, second.epoch) == (1, 2)
         assert view.epoch == 2
-        assert [epoch for epoch, _ in view.log] == [1, 2]
 
     def test_dirty_region_per_delta_kind(self, view):
         u, v = view.edges()[0]
@@ -470,6 +471,189 @@ class TestMutableGraphView:
         view.apply([RemoveNode(1)])
         assert view.num_nodes == n
         assert not any(1 in (u, v) for u, v in view.edges())
+
+    def test_node_ids_beyond_the_edge_key_space_are_rejected(self, view):
+        # Edges are keyed (source << 32) | target, so ids must stay below
+        # 2**31.  Neither check allocates a graph of that size.
+        n = view.num_nodes
+        with pytest.raises(GraphError, match="edge key"):
+            view.apply([AddNode(), AddNode(count=2**31 - n)])
+        assert (view.num_nodes, view.epoch) == (n, 0)
+        empty = np.empty(0, dtype=np.int64)
+        huge = CSRDiGraph.from_parts(2**31 + 1, *[empty] * 8)
+        with pytest.raises(GraphError, match="edge key"):
+            MutableGraphView(huge, [np.empty(0)])
+
+
+# --------------------------------------------------------------------------- #
+# 6. the array-backed view against the dict-backed reference view
+# --------------------------------------------------------------------------- #
+def _csr_arrays(graph):
+    return (graph.sources, graph.targets, *graph.out_csr(), *graph.in_csr())
+
+
+def _assert_same_views(view, reference):
+    """Snapshot, probabilities and epoch agree array for array."""
+    assert (view.num_nodes, view.num_edges, view.epoch) == (
+        reference.num_nodes,
+        reference.num_edges,
+        reference.epoch,
+    )
+    assert view.graph.num_nodes == reference.graph.num_nodes
+    for ours, theirs in zip(_csr_arrays(view.graph), _csr_arrays(reference.graph)):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    ours, theirs = view.advertiser_edge_probabilities, reference.advertiser_edge_probabilities
+    assert len(ours) == len(theirs)
+    for array, expected in zip(ours, theirs):
+        assert not array.flags.writeable
+        assert array.dtype == expected.dtype
+        assert np.array_equal(array, expected)
+    assert view.edges() == reference.edges()
+
+
+def _assert_same_effects(effect, expected):
+    assert (effect.epoch, effect.num_deltas, effect.num_nodes_changed) == (
+        expected.epoch,
+        expected.num_deltas,
+        expected.num_nodes_changed,
+    )
+    assert effect.dirty_nodes.tolist() == expected.dirty_nodes.tolist()
+    assert list(effect.dirty_nodes_by_advertiser) == list(
+        expected.dirty_nodes_by_advertiser
+    )
+    for advertiser, nodes in effect.dirty_nodes_by_advertiser.items():
+        assert nodes.tolist() == expected.dirty_nodes_by_advertiser[advertiser].tolist()
+        assert not nodes.flags.writeable
+    assert not effect.dirty_nodes.flags.writeable
+
+
+def _invalid_delta(rng, edges, n, h):
+    """One delta that the evolving state ``(edges, n)`` must reject."""
+    u, v = sorted(edges)[int(rng.integers(0, len(edges)))] if edges else (0, 1)
+    missing = next(
+        (a, b) for a in range(n) for b in range(n) if a != b and (a, b) not in edges
+    )
+    invalid = [
+        AddEdge(u, v, (0.1,) * h) if edges else AddEdge(0, 0, (0.1,) * h),
+        AddEdge(0, 0, (0.1,) * h),
+        AddEdge(*missing, (0.1,) * (h + 1)),
+        AddEdge(*missing, (0.1,) * (h - 1) + (1.5,)),
+        RemoveEdge(*missing),
+        UpdateProbability(*missing, 0.3),
+        UpdateProbability(u, v, -0.1),
+        UpdateProbability(u, v, 0.3, advertiser=h),
+        AddNode(count=0),
+        RemoveNode(n),
+        RemoveEdge(n, 0),
+    ]
+    return invalid[int(rng.integers(0, len(invalid)))]
+
+
+def _mixed_batch(rng, edges, n, h, poison):
+    """A batch of all five delta kinds, valid in order unless ``poison``.
+
+    Besides plain edits it stages the in-batch interactions the overlay has
+    to get right: add-then-remove of one edge, ``RemoveNode`` of a node that
+    gained an edge earlier in the batch, and ``AddNode`` followed by edges
+    to the new ids.  With ``poison`` one invalid delta lands mid-batch.
+    """
+    edges = set(edges)
+    batch = []
+    size = int(rng.integers(3, 10))
+    poison_at = int(rng.integers(1, size)) if poison else None
+
+    def probabilities():
+        return tuple(float(p) for p in rng.uniform(0.05, 0.6, h))
+
+    def fresh_pair():
+        while True:
+            a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+            if a != b and (a, b) not in edges:
+                return a, b
+
+    while len(batch) < size or poison_at is not None:
+        if poison_at is not None and len(batch) >= poison_at:
+            batch.append(_invalid_delta(rng, edges, n, h))
+            poison_at = None
+        roll = float(rng.random())
+        if roll < 0.25 and edges:
+            u, v = sorted(edges)[int(rng.integers(0, len(edges)))]
+            advertiser = int(rng.integers(0, h)) if rng.random() < 0.6 else None
+            batch.append(
+                UpdateProbability(u, v, float(rng.uniform(0.05, 0.6)), advertiser)
+            )
+        elif roll < 0.4:
+            u, v = fresh_pair()
+            batch.append(AddEdge(u, v, probabilities()))
+            edges.add((u, v))
+        elif roll < 0.5 and edges:
+            u, v = sorted(edges)[int(rng.integers(0, len(edges)))]
+            batch.append(RemoveEdge(u, v))
+            edges.discard((u, v))
+        elif roll < 0.6:
+            u, v = fresh_pair()
+            batch += [AddEdge(u, v, probabilities()), RemoveEdge(u, v)]
+        elif roll < 0.7:
+            count = int(rng.integers(1, 3))
+            batch.append(AddNode(count))
+            new, old = n + count - 1, int(rng.integers(0, n))
+            n += count
+            batch += [AddEdge(new, old, probabilities()), AddEdge(old, new, probabilities())]
+            edges |= {(new, old), (old, new)}
+        elif roll < 0.85:
+            u, x = fresh_pair()
+            batch += [AddEdge(u, x, probabilities()), RemoveNode(x)]
+            edges = {(a, b) for (a, b) in edges if x not in (a, b)}
+        else:
+            x = int(rng.integers(0, n))
+            batch.append(RemoveNode(x))
+            edges = {(a, b) for (a, b) in edges if x not in (a, b)}
+    return batch
+
+
+@pytest.mark.parametrize("fuzz_seed", FUZZ_SEEDS)
+def test_array_view_matches_the_reference_view(micro_graph, fuzz_seed):
+    """After every batch the array view equals the dict-backed reference:
+    CSR arrays, probabilities, epoch and the whole DeltaEffect; a batch that
+    raises leaves both views untouched and raises the same error."""
+    rng = np.random.default_rng(5000 + fuzz_seed)
+    h = 3
+    probabilities = [rng.uniform(0.0, 1.0, micro_graph.num_edges) for _ in range(h)]
+    view = MutableGraphView(micro_graph, probabilities)
+    reference = ReferenceGraphView(micro_graph, probabilities)
+    _assert_same_views(view, reference)
+    rejected = 0
+    for _ in range(16):
+        poison = bool(rng.random() < 0.3)
+        batch = _mixed_batch(rng, view.edges(), view.num_nodes, h, poison)
+        if not poison:
+            _assert_same_effects(view.apply(batch), reference.apply(batch))
+            _assert_same_views(view, reference)
+            continue
+        rejected += 1
+        before = (view.graph, view.advertiser_edge_probabilities, view.epoch)
+        before_reference = (
+            reference.graph,
+            reference.advertiser_edge_probabilities,
+            reference.epoch,
+        )
+        with pytest.raises(GraphError) as ours:
+            view.apply(batch)
+        with pytest.raises(GraphError) as theirs:
+            reference.apply(batch)
+        assert str(ours.value) == str(theirs.value)
+        for side, (graph, arrays, epoch) in (
+            (view, before),
+            (reference, before_reference),
+        ):
+            assert side.graph is graph and side.epoch == epoch
+            assert all(
+                now is then
+                for now, then in zip(side.advertiser_edge_probabilities, arrays)
+            )
+        _assert_same_views(view, reference)
+    assert view.epoch == 16 - rejected
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ Two contracts, matrixed over fork and spawn:
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,9 @@ from repro.parallel import (
 from repro.parallel.executor import (
     AUTO_SHM_MIN_BYTES,
     PAYLOAD_MODES,
+    _close_attached_segments,
+    _decode_shm_payload,
+    _encode_shm_payload,
     validate_payload_mode,
 )
 from repro.parallel.mc import sharded_spread
@@ -259,6 +264,29 @@ class TestSegmentLifecycle:
         finally:
             pool.close()
         assert _new_segments(segment_baseline) == []
+
+
+def test_payload_packing_holds_no_reference_cycle(micro_graph, segment_baseline):
+    """A packed payload's arrays, and the views decoded from its segment,
+    die with their last reference instead of waiting for a cyclic
+    collection; long-lived pools stream one payload per graph snapshot."""
+    probabilities = np.full(micro_graph.num_edges, 0.3)
+    packed = weakref.ref(probabilities)
+    gc.disable()
+    try:
+        segment, wire = _encode_shm_payload((micro_graph, [probabilities]))
+        try:
+            decoded = _decode_shm_payload(wire)
+            view = weakref.ref(decoded[1][0])
+            del decoded, probabilities
+            assert packed() is None
+            assert view() is None
+        finally:
+            _close_attached_segments()
+            segment.unlink()
+    finally:
+        gc.enable()
+    assert _new_segments(segment_baseline) == []
 
 
 # --------------------------------------------------------------------------- #
