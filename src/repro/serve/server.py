@@ -30,6 +30,14 @@ Architecture
   checkpoints rotate the journal.  ``kill -9`` at any point restarts
   bit-identical to replaying the acknowledged batches on a fresh store
   (:mod:`repro.serve.checkpoint`).
+* **Thread hand-offs**: handlers are CPU-bound Python on the dispatch
+  thread, while a transport thread admits each request and the client
+  waits for the reply.  Under CPython's default 5 ms switch interval each
+  of those hand-offs can wait out a whole interval behind a running
+  handler, so a ``spread`` arriving during an ``allocate`` spent ~10 ms
+  before admission alone.  While any server dispatches, the process runs
+  with a :data:`_SWITCH_INTERVAL_S` interval (the previous one is restored
+  when the last server stops).
 * **Drain**: ``shutdown`` requests, transport EOF and SIGTERM/SIGINT all
   funnel into :meth:`initiate_drain` — new admissions are rejected with
   ``draining``, in-flight tickets finish (bounded by ``drain_grace_s``), a
@@ -40,10 +48,12 @@ from __future__ import annotations
 
 import json
 import queue
+import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RRSetOracle
@@ -75,6 +85,35 @@ from repro.serve.lifecycle import (
 
 #: Ops whose identical concurrent requests may share one engine pass.
 _COALESCABLE = frozenset({"ping", "stats", "spread", "allocate"})
+
+#: GIL switch interval (seconds) while any server dispatches.
+_SWITCH_INTERVAL_S = 0.0002
+
+_switch_lock = threading.Lock()
+_switch_holders = 0
+_switch_saved = 0.0
+
+
+@contextmanager
+def _short_switch_interval() -> Iterator[None]:
+    """Lower the process's GIL switch interval for the duration of the block.
+
+    Reference-counted across concurrent servers; the last one out restores
+    the interval that was in force before the first one came in.
+    """
+    global _switch_holders, _switch_saved
+    with _switch_lock:
+        if _switch_holders == 0:
+            _switch_saved = sys.getswitchinterval()
+            sys.setswitchinterval(min(_switch_saved, _SWITCH_INTERVAL_S))
+        _switch_holders += 1
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _switch_holders -= 1
+            if _switch_holders == 0:
+                sys.setswitchinterval(_switch_saved)
 
 
 class AllocationServer:
@@ -362,6 +401,10 @@ class AllocationServer:
     # dispatch
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
+        with _short_switch_interval():
+            self._dispatch_until_drained()
+
+    def _dispatch_until_drained(self) -> None:
         drain_deadline: Optional[float] = None
         while True:
             if self._drain_event.is_set() and drain_deadline is None:

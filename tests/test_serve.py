@@ -18,6 +18,7 @@ has its own suite in ``test_serve_cli.py``):
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -34,7 +35,7 @@ from repro.graph.generators import preferential_attachment_digraph
 from repro.parallel import FailurePolicy, FaultInjector
 from repro.rrsets.estimators import estimate_advertiser_revenue
 from repro.runtime import ExecutionPolicy
-from repro.serve import AllocationServer, ServicePolicy
+from repro.serve import AllocationServer, ServicePolicy, server as server_module
 from repro.serve.protocol import encode_reply
 
 #: Serial in-process policy — deterministic and pool-free for the protocol
@@ -495,3 +496,26 @@ class TestConcurrentClients:
                 reply["ok"] or reply["error"]["code"] == "overloaded"
                 for reply in replies
             )
+
+
+# --------------------------------------------------------------------------- #
+# GIL hand-offs: a short switch interval while any server dispatches
+# --------------------------------------------------------------------------- #
+class TestSwitchInterval:
+    def test_lowered_while_any_server_dispatches_then_restored(self, instance):
+        before = sys.getswitchinterval()
+        lowered = pytest.approx(min(before, server_module._SWITCH_INTERVAL_S))
+        first = AllocationServer(instance, policy=INLINE, rr_sets=100, seed=11)
+        second = AllocationServer(instance, policy=INLINE, rr_sets=100, seed=11)
+        try:
+            for srv in (first, second):
+                srv.start()
+                # A reply comes from inside the dispatch loop.
+                assert srv.request({"op": "ping"})["ok"] is True
+                assert sys.getswitchinterval() == lowered
+            first.close()
+            assert sys.getswitchinterval() == lowered  # second still serves
+        finally:
+            first.close()
+            second.close()
+        assert sys.getswitchinterval() == before
