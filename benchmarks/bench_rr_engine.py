@@ -16,6 +16,14 @@ and the before/after timings so successive PRs can track the perf
 trajectory.  Both engines are driven from the same seed, so the timed work
 is identical by construction (the equivalence tests in
 ``tests/test_rr_engine_equivalence.py`` pin this bit-for-bit).
+
+The ``generation/batched`` section times the ``fast()`` engine — hashed
+slots sampled level-synchronously (:mod:`repro.rrsets.slots`) — against the
+per-set :class:`~repro.rrsets.generator.SubsimRRGenerator` it replaced, on
+the full-size 20k-node graph in both modes, best of
+:data:`BEST_OF` runs each.  Its sets are statistically, not bit-, equivalent
+(``tests/test_rr_hashed_equivalence.py``), and both modes exit non-zero
+below :data:`BATCHED_GATE`.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import CoverageState, RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
+from repro.rrsets.slots import HashedRRSampler
 from repro.rrsets.legacy import (
     LegacyCoverageState,
     LegacyRRCollection,
@@ -45,12 +54,69 @@ NUM_ADVERTISERS = 5
 GRAPH_SEED = 3
 RR_SEED = 5
 TAG_SEED = 1
+#: Required speed-up of the batched hashed sampler over per-set SUBSIM.
+BATCHED_GATE = 3.0
+BEST_OF = 5
 
 
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
+
+
+def _best_of(fn, repeats=BEST_OF):
+    timings, result = [], None
+    for _ in range(repeats):
+        elapsed, result = _timed(fn)
+        timings.append(elapsed)
+    return min(timings), result
+
+
+def _wc_graph(config: dict):
+    graph = preferential_attachment_digraph(
+        config["num_nodes"], out_degree=config["out_degree"], seed=GRAPH_SEED
+    )
+    probabilities = np.asarray(
+        WeightedCascadeModel(graph).edge_probabilities(), dtype=np.float64
+    )
+    return graph, probabilities
+
+
+def batched_generation() -> dict:
+    """Per-set SUBSIM against the batched hashed sampler on the full graph.
+
+    Each side's time includes building its engine from the graph.
+    """
+    graph, probabilities = _wc_graph(FULL)
+    count = FULL["rr_sets"]
+    per_set_s, rr_sets = _best_of(
+        lambda: SubsimRRGenerator(graph, probabilities).generate_batch(count, rng=RR_SEED)
+    )
+    batched_s, drawn = _best_of(
+        lambda: HashedRRSampler(graph, probabilities).draw(RR_SEED, (0, count))
+    )
+    per_set_mean = float(np.mean([rr_set.size for rr_set in rr_sets]))
+    batched_mean = float(drawn.sizes.mean())
+    # Different coins, same distribution: the mean set sizes of 3,000 sets
+    # agree to well within 25% (the KS suite pins the distributions).
+    assert abs(per_set_mean - batched_mean) <= 0.25 * per_set_mean, (
+        f"engines disagree on mean RR-set size: {per_set_mean} vs {batched_mean}"
+    )
+    speedup = per_set_s / batched_s
+    print(
+        f"{'generation/batched':<28} subsim {per_set_s:8.3f}s   batched {batched_s:8.3f}s   "
+        f"{speedup:6.2f}x  (best of {BEST_OF}, {graph.num_nodes} nodes)"
+    )
+    return {
+        "per_set_subsim_s": round(per_set_s, 6),
+        "batched_s": round(batched_s, 6),
+        "speedup": round(speedup, 2),
+        "best_of": BEST_OF,
+        "num_nodes": graph.num_nodes,
+        "rr_sets": count,
+        "mean_size": {"per_set_subsim": round(per_set_mean, 3), "batched": round(batched_mean, 3)},
+    }
 
 
 def _build_collection(cls, rr_sets, tags, num_nodes):
@@ -82,12 +148,8 @@ def _greedy_vectorized(collection, steps, num_nodes):
 
 
 def run(config: dict) -> dict:
-    n, out_degree = config["num_nodes"], config["out_degree"]
     count, steps = config["rr_sets"], config["greedy_seeds"]
-    graph = preferential_attachment_digraph(n, out_degree=out_degree, seed=GRAPH_SEED)
-    probabilities = np.asarray(
-        WeightedCascadeModel(graph).edge_probabilities(), dtype=np.float64
-    )
+    graph, probabilities = _wc_graph(config)
     tags = np.random.default_rng(TAG_SEED).integers(0, NUM_ADVERTISERS, size=count)
     results: dict = {
         "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
@@ -123,6 +185,7 @@ def run(config: dict) -> dict:
         lambda: _build_collection(LegacyRRCollection, legacy_rr, tags, graph.num_nodes),
         lambda: _build_collection(RRCollection, vectorized_rr, tags, graph.num_nodes),
     )
+    results["sections"]["generation/batched"] = batched_generation()
     covered = section(
         "greedy_coverage",
         lambda: _greedy_legacy(legacy_coll, steps),
@@ -174,6 +237,11 @@ def main() -> None:
     speedup = payload["pipeline_generation_plus_greedy"]["speedup"]
     if not args.fast and speedup < 5.0:
         raise SystemExit(f"perf regression: pipeline speedup {speedup}x < 5x")
+    batched = payload["sections"]["generation/batched"]["speedup"]
+    if batched < BATCHED_GATE:
+        raise SystemExit(
+            f"perf regression: batched generation {batched}x < {BATCHED_GATE}x over SUBSIM"
+        )
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ network under the linear seed-incentive model at one value of α, reporting
 revenue, seeding cost, seed count and running time per algorithm.
 
 No execution knobs are set: every solver runs on the default
-``ExecutionPolicy.fast()`` — SUBSIM RR-set generation, batched Monte-Carlo
+``ExecutionPolicy.fast()`` — hashed batched RR sampling, batched Monte-Carlo
 cascades, vectorized batched seed selection, all cores.  Pass
 ``policy=ExecutionPolicy.seed()`` to the parameter objects for the serial
 bit-reproducible escape hatch.

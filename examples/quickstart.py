@@ -6,7 +6,7 @@ runs the paper's RMA solver, and evaluates the resulting allocation with an
 independent RR-set estimator.
 
 No execution knobs are needed: every entry point defaults to
-``ExecutionPolicy.fast()`` — SUBSIM RR-set generation (``rr_engine="subsim"``),
+``ExecutionPolicy.fast()`` — hashed batched RR sampling (``rr_engine="subsim"``),
 the batched Monte-Carlo cascade engine (``mc_engine="batched"``) and sharding
 across all cores (``n_jobs=-1``).  Seed selection needs no knob at all: with
 an RR-set oracle the CELF refreshes are vectorized coverage gathers.  The

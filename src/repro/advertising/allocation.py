@@ -7,7 +7,7 @@ one ad) at mutation time so that solver bugs surface immediately.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import ProblemDefinitionError
 
@@ -41,11 +41,10 @@ class Allocation:
         return allocation
 
     def copy(self) -> "Allocation":
-        """Deep copy of the allocation."""
+        """Deep copy of the allocation (keeps the assignment order)."""
         clone = Allocation(self._num_advertisers)
-        for advertiser, seeds in self._seed_sets.items():
-            for node in seeds:
-                clone.assign(node, advertiser)
+        for node, advertiser in self._owner.items():
+            clone.assign(node, advertiser)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -84,6 +83,11 @@ class Allocation:
         """The (immutable view of the) seed set of ``advertiser``."""
         self._check_advertiser(advertiser)
         return frozenset(self._seed_sets[advertiser])
+
+    def assignment_order(self, advertiser: int) -> List[int]:
+        """``advertiser``'s seeds in the order they were assigned."""
+        self._check_advertiser(advertiser)
+        return [node for node, owner in self._owner.items() if owner == advertiser]
 
     def owner_of(self, node: int) -> int | None:
         """The advertiser holding ``node``, or ``None``."""

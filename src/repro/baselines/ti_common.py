@@ -32,7 +32,7 @@ from repro.baselines.tim import (
 from repro.core.result import SolverResult
 from repro.exceptions import SolverError
 from repro.rrsets.collection import CoverageState, RRCollection
-from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
+from repro.rrsets.generator import RRSetGenerator
 from repro.runtime import ExecutionPolicy, Runtime, current_runtime, resolve_policy
 from repro.utils.lazy_heap import BatchedLazyGreedy
 from repro.utils.rng import RandomSource, as_rng
@@ -50,9 +50,10 @@ class TIParameters:
     Figure 4 memory comparison uses).
 
     ``policy`` is the configuration channel
-    (:class:`repro.runtime.ExecutionPolicy`): ``rr_engine`` selects the pool
-    generator and ``n_jobs`` shards the bulk pool fill across worker
-    processes (the small pilot pools stay serial).  ``None`` defaults to
+    (:class:`repro.runtime.ExecutionPolicy`): ``rr_engine`` selects the
+    engine of the bulk pool fill — hashed slots under ``fast()``, so the
+    pools do not depend on ``n_jobs`` — and ``n_jobs`` shards it across
+    worker processes (the small pilot pools stay serial).  ``None`` defaults to
     :meth:`ExecutionPolicy.fast`; pass :meth:`ExecutionPolicy.seed` for the
     serial seed-stream reference path.
     """
@@ -96,7 +97,6 @@ def _build_pools(
     rng,
     runtime: Optional[Runtime],
 ) -> tuple[Dict[int, _AdvertiserPool], Dict[str, object]]:
-    generator_cls = SubsimRRGenerator if policy.rr_engine == "subsim" else RRSetGenerator
     pools: Dict[int, _AdvertiserPool] = {}
     required_total = 0
     generated_total = 0
@@ -109,14 +109,14 @@ def _build_pools(
         )
         required_total += required
         pool_size = min(required, params.max_rr_sets_per_advertiser)
-        generator = generator_cls(
+        generator = RRSetGenerator(
             instance.graph, instance.edge_probabilities(advertiser)
         )
         rr_sets = list(pilot)
         if pool_size > len(rr_sets):
             rr_sets.extend(
                 generator.generate_batch_parallel(
-                    pool_size - len(rr_sets), rng, n_jobs=policy.n_jobs, runtime=runtime
+                    pool_size - len(rr_sets), rng, runtime=runtime, policy=policy
                 )
             )
         else:
@@ -165,10 +165,19 @@ def _run_allocation(
     """
     h = instance.num_advertisers
     n = instance.num_nodes
-    combined = RRCollection(n, h)
-    for advertiser in range(h):
-        for rr_set in pools[advertiser].rr_sets:
-            combined.add(rr_set, advertiser)
+    combined = RRCollection.from_shards(
+        n,
+        h,
+        [
+            (
+                np.concatenate(pools[advertiser].rr_sets),
+                np.fromiter((s.size for s in pools[advertiser].rr_sets), dtype=np.int64),
+                np.full(len(pools[advertiser].rr_sets), advertiser, dtype=np.int64),
+            )
+            for advertiser in range(h)
+            if pools[advertiser].rr_sets
+        ],
+    )
     state = CoverageState(combined)
     marginal_flat = state.marginal_matrix().ravel()
     cost_flat = instance.cost_matrix().ravel()

@@ -268,7 +268,7 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "--policy",
         default=None,
         choices=sorted(POLICY_PRESETS),
-        help="execution-policy preset: 'fast' (SUBSIM + batched MC + all "
+        help="execution-policy preset: 'fast' (hashed batched RR + batched MC + all "
         "cores; the default) or 'seed' (the serial "
         "bit-reproducible escape hatch that replays the original seed "
         "tree's RNG streams); combine with --jobs to pin the worker count",

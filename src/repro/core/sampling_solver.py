@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -131,6 +131,13 @@ class SamplingParameters:
             raise SolverError("validation_growth_factor must be at least 1")
 
 
+#: Log-confidence ``a`` (Lemma B.7, failure probability ``e^-a`` per
+#: advertiser) of the R2 bound the at-cap repair enforces.  The
+#: union-bounded ``q`` of the regular check is out of reach at practical
+#: caps: at θ = 1,024 it strips two thirds of a solution's revenue.
+CAP_REPAIR_CONFIDENCE = 1.0
+
+
 def _build_sampler(
     instance: RMInstance, policy: ExecutionPolicy, rng, runtime: Optional[Runtime]
 ) -> UniformRRSampler:
@@ -142,6 +149,47 @@ def _build_sampler(
         policy=policy,
         runtime=runtime,
     )
+
+
+def _r2_violations(
+    instance: RMInstance,
+    allocation: Allocation,
+    oracle_two: RRSetOracle,
+    budgets: np.ndarray,
+    bound: Callable[[float], float],
+) -> List[int]:
+    """Advertisers whose R2 revenue estimate, passed through ``bound``,
+    exceeds their budget left after seeding costs."""
+    violations = []
+    for advertiser, seeds in allocation.items():
+        estimate = oracle_two.revenue(advertiser, seeds) if seeds else 0.0
+        if bound(estimate) > budgets[advertiser] - instance.cost_of_set(advertiser, seeds):
+            violations.append(advertiser)
+    return violations
+
+
+def _repair_at_cap(
+    instance: RMInstance,
+    allocation: Allocation,
+    oracle_two: RRSetOracle,
+    budgets: np.ndarray,
+    bound: Callable[[float], float],
+) -> Tuple[Allocation, Dict[int, int]]:
+    """Remove seeds in reverse acceptance order from every advertiser whose
+    bounded R2 estimate exceeds its budget, until it fits; returns the
+    allocation and the number of seeds removed per advertiser."""
+    repaired = allocation.copy()
+    removed: Dict[int, int] = {}
+
+    def over(candidate: Allocation) -> List[int]:
+        return _r2_violations(instance, candidate, oracle_two, budgets, bound)
+
+    for advertiser in over(repaired):
+        order = repaired.assignment_order(advertiser)
+        while order and advertiser in over(repaired):
+            repaired.unassign(order.pop())
+            removed[advertiser] = removed.get(advertiser, 0) + 1
+    return repaired, removed
 
 
 def _allocation_estimates(
@@ -163,6 +211,18 @@ def rm_without_oracle(
     Returns a :class:`SolverResult` whose ``revenue`` field is the
     sampling-space estimate ``π̃(S⃗*, R1)``; the metadata records the number
     of RR-sets used, the empirical ratio β, and the theoretical θ values.
+
+    The paper's guarantee needs θ to grow up to θ_max; a practical
+    ``max_rr_sets`` cap can stop it earlier.  When the capped round's
+    allocation fails the R2 budget check (``feasible`` is False in the
+    metadata), the solver repairs it instead of returning it as is: each
+    advertiser whose R2 upper bound at log-confidence
+    :data:`CAP_REPAIR_CONFIDENCE` exceeds its budget loses seeds in reverse
+    acceptance order until the bound fits, and ``seeds_removed_at_cap``
+    records how many per advertiser.  The one exception is a policy with
+    ``rng_compat`` (``ExecutionPolicy.seed()``, serial), whose contract is
+    to reproduce the seed tree's outputs exactly: it returns the capped
+    round as the seed tree did, and ``feasible`` tells the caller.
 
     ``runtime`` (or the ambient :func:`repro.runtime.current_runtime`)
     supplies a persistent worker pool shared by every doubling round; when
@@ -251,23 +311,37 @@ def _rm_without_oracle_impl(
         )
 
         # Budget feasibility against the independent collection R2 (Lines 8-11).
-        feasible = True
-        per_advertiser_r2 = _allocation_estimates(oracle_two, allocation)
-        for advertiser, seeds in allocation.items():
-            ub_revenue = upper_bound_from_estimate(
-                per_advertiser_r2[advertiser], len(collection_two), scale_total, q
+        theta_two = len(collection_two)
+        feasible = not _r2_violations(
+            instance,
+            allocation,
+            oracle_two,
+            feasibility_budgets,
+            lambda estimate: upper_bound_from_estimate(estimate, theta_two, scale_total, q),
+        )
+        reached_cap = len(collection_one) >= cap
+        removed_at_cap: Dict[int, int] = {}
+        if reached_cap and not feasible and not policy.rng_compat:
+            # θ cannot grow any further, so the union-bounded check may be
+            # out of reach; hold each advertiser to a one-sided R2 bound at
+            # CAP_REPAIR_CONFIDENCE instead.  A seed-compatible policy
+            # replays the historical outputs.
+            allocation, removed_at_cap = _repair_at_cap(
+                instance,
+                allocation,
+                oracle_two,
+                feasibility_budgets,
+                lambda estimate: upper_bound_from_estimate(
+                    estimate, theta_two, scale_total, CAP_REPAIR_CONFIDENCE
+                ),
             )
-            seed_cost = instance.cost_of_set(advertiser, seeds)
-            if ub_revenue > feasibility_budgets[advertiser] - seed_cost:
-                feasible = False
-                break
+            revenue_r1 = oracle_one.total_revenue(allocation)
 
         revenue_r2 = oracle_two.total_revenue(allocation)
         lower = lower_bound_from_estimate(revenue_r2, len(collection_two), scale_total, q)
         upper = upper_bound_from_estimate(upper_z, len(collection_one), scale_total, q)
         beta = lower / upper if upper > 0 else 0.0
 
-        reached_cap = len(collection_one) >= cap
         success = beta >= lam - epsilon and feasible
 
         metadata = {
@@ -280,6 +354,7 @@ def _rm_without_oracle_impl(
             "rho": params.rho,
             "tau": params.tau,
             "feasible": feasible,
+            "seeds_removed_at_cap": removed_at_cap,
             "theta_zero_theoretical": theoretical_theta_zero,
             "theta_max_theoretical": theoretical_theta_max,
             "rr_set_cap": cap,

@@ -513,7 +513,8 @@ def subsim_sweep(
     seed: int = 7,
     base: Optional[ExperimentBase] = None,
 ) -> List[Dict[str, object]]:
-    """Figure 10 / Table 6 — the α sweep with SUBSIM RR-set generation."""
+    """Figure 10 / Table 6 — the α sweep with the fast RR engine
+    (``rr_engine="subsim"``, since replaced by hashed batched sampling)."""
     base = base or prepare_base(dataset, num_advertisers=num_advertisers, scale=scale, seed=seed)
     subsim = ExecutionPolicy(rr_engine="subsim")
     sampling_params = _default_sampling_params(seed, policy=subsim)

@@ -7,8 +7,9 @@ allocation with an independent estimator so the reported revenue is
 comparable across algorithms.
 
 Every stage resolves :meth:`repro.runtime.ExecutionPolicy.fast` when no
-policy is given — SUBSIM RR generation, batched Monte-Carlo, all cores.  Pass ``policy=ExecutionPolicy.seed()`` to pin the
-serial seed-stream reference path instead.
+policy is given — hashed batched RR sampling, batched Monte-Carlo, all
+cores.  Pass ``policy=ExecutionPolicy.seed()`` to pin the serial
+seed-stream reference path instead.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def run_algorithm(
         sampler engines and sharding (copied into the parameter objects,
         which are never mutated), the auto-built Monte-Carlo oracle, the
         independent evaluator, and the oracle-setting solvers.
-        ``None`` resolves to :meth:`ExecutionPolicy.fast` — SUBSIM RR
-        generation, batched MC, all cores; pass
+        ``None`` resolves to :meth:`ExecutionPolicy.fast` — hashed batched
+        RR sampling, batched MC, all cores; pass
         :meth:`ExecutionPolicy.seed` for the serial seed-stream escape
         hatch.  A ``policy=`` that disagrees with a parameter object's own
         ``params.policy`` raises :class:`~repro.exceptions.PolicyError` (a

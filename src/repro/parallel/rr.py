@@ -1,22 +1,29 @@
 """Sharded RR-set generation.
 
-Worker tasks and merge helpers behind
-:meth:`repro.rrsets.generator.RRSetGenerator.generate_batch_parallel` and
-:meth:`repro.rrsets.uniform.UniformRRSampler.generate_collection`.
+Two shard workers back the RR consumers:
 
-Each shard builds its generator(s) against the fork-inherited (or
-pickled-once) CSR graph — memoised per payload in the persistent pool's
+* :func:`run_slot_shards` draws RR-set *slots* — pure functions of
+  ``(entropy, slot)`` (:mod:`repro.rrsets.slots`) — for
+  :meth:`repro.rrsets.uniform.UniformRRSampler.generate_collection`, the
+  ``fast()`` TI pool fill behind
+  :meth:`repro.rrsets.generator.RRSetGenerator.generate_batch_parallel`
+  and :class:`repro.rrsets.store.RRStore`.  A slot range or array is cut
+  into contiguous pieces, one per shard; since no slot depends on another,
+  the merged result is the same for every shard layout.
+* :func:`run_generation_shards` is the per-set stream path of
+  ``generate_batch_parallel`` under ``seed(n_jobs>1)``: each shard draws
+  from its own :func:`spawn_rngs` substream, so a fixed ``(seed, n_jobs)``
+  pair is bit-reproducible.
+
+Each shard builds its engine against the fork-inherited (or pickled-once)
+CSR graph — memoised per payload in the persistent pool's
 :func:`~repro.parallel.executor.current_worker_cache`, so RMA's doubling
-rounds reuse one generator (and its scratch buffers) per worker instead of
-rebuilding it every call — draws from its own :func:`spawn_rngs` substream
-and returns its RR-sets as **flat arrays** — one concatenated member array
-plus a size array (and, for the uniform sampler, a tag array) — so the
-pickle back to the parent is two or three large buffers instead of
-thousands of tiny ones.  The parent merges shards by shard position (the supervised executor
-returns results indexed by shard, regardless of completion order or
-crash-recovery retries), which is what makes a fixed ``(seed, n_jobs)``
-pair bit-reproducible — even when a worker died mid-call and its shards
-were re-executed.
+rounds reuse one engine per worker — and returns its RR-sets as **flat
+arrays** (one concatenated member array plus size, tag and root arrays), so
+the pickle back to the parent is a few large buffers instead of thousands of
+tiny ones.  The parent merges shards by shard position (the supervised
+executor returns results indexed by shard, regardless of completion order or
+crash-recovery retries).
 
 Each shard result also carries the worker's CPU seconds
 (:func:`time.process_time`), which the perf harness uses to report
@@ -26,7 +33,7 @@ critical-path scaling on hosts with fewer physical cores than workers.
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import List, NamedTuple, Optional, Type
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from repro.parallel.executor import (
     current_worker_cache,
     shard_counts,
 )
+from repro.rrsets.collection import split_by_sizes
 from repro.utils.rng import RandomSource, spawn_rngs
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -50,32 +58,9 @@ class GenerationShard(NamedTuple):
     cpu_seconds: float  #: worker CPU time spent on the shard
 
 
-class UniformShard(NamedTuple):
-    """Flat result of one uniform-sampler shard (tagged RR-sets)."""
-
-    members: np.ndarray
-    sizes: np.ndarray
-    tags: np.ndarray  #: advertiser tag per RR-set
-    edges_examined: np.ndarray  #: per-advertiser cost counters
-    cpu_seconds: float
-
-
-class StoreShard(NamedTuple):
-    """Flat result of one RR-store slot-drawing shard (see :mod:`repro.rrsets.store`)."""
-
-    slots: np.ndarray  #: absolute slot indices this shard drew
-    members: np.ndarray  #: all drawn members concatenated, slot order
-    sizes: np.ndarray  #: per-slot cardinalities aligned with ``members``
-    tags: np.ndarray  #: advertiser tag per slot
-    roots: np.ndarray  #: recorded root per slot (provenance)
-    cpu_seconds: float
-
-
 def split_flat(members: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
     """Views of ``members`` per RR-set (no copies; the CSR inverse of a shard)."""
-    if sizes.size == 0:
-        return []
-    return np.split(members, np.cumsum(sizes[:-1]))
+    return split_by_sizes(members, sizes)
 
 
 def _generate_shard(payload, shard) -> GenerationShard:
@@ -151,122 +136,69 @@ def generate_batch_sharded(
     return rr_sets
 
 
-def _generate_uniform_shard(payload, shard) -> UniformShard:
-    generator_cls, graph, probability_arrays, weights = payload
-    count, rng = shard
+
+
+class SlotShard(NamedTuple):
+    """Flat result of one slot-drawing shard (see :mod:`repro.rrsets.slots`)."""
+
+    members: np.ndarray  #: all drawn members concatenated, slot order
+    sizes: np.ndarray  #: per-slot cardinalities aligned with ``members``
+    tags: np.ndarray  #: advertiser tag per slot
+    roots: np.ndarray  #: root node per slot
+    edges_examined: np.ndarray  #: per-advertiser cost counters
+    cpu_seconds: float
+
+
+def _draw_slots_shard(payload, shard) -> SlotShard:
+    generator_cls, graph, probabilities, weights = payload
+    entropy, slots = shard
     started = time.process_time()
+    from repro.rrsets.slots import slot_engine
+
     cache = current_worker_cache()
     if cache is None:
-        generators = [generator_cls(graph, probs) for probs in probability_arrays]
+        engine = slot_engine(generator_cls, graph, probabilities, weights)
     else:
-        generators = cache.get("generators")
-        if generators is None:
-            generators = cache["generators"] = [
-                generator_cls(graph, probs) for probs in probability_arrays
-            ]
-    h = len(generators)
-    edges_before = np.fromiter(
-        (generator.edges_examined for generator in generators), dtype=np.int64, count=h
-    )
-    choice = rng.choice
-    tags = np.empty(count, dtype=np.int64)
-    sizes = np.empty(count, dtype=np.int64)
-    rr_sets: List[np.ndarray] = []
-    for index in range(count):
-        # Same interleaved draw pattern as UniformRRSampler.generate_one —
-        # advertiser draw, then that advertiser's RR-set, on one stream.
-        advertiser = int(choice(h, p=weights))
-        rr_set = generators[advertiser].generate(rng)
-        tags[index] = advertiser
-        sizes[index] = rr_set.size
-        rr_sets.append(rr_set)
-    members = np.concatenate(rr_sets) if rr_sets else _EMPTY
-    edges = (
-        np.fromiter(
-            (generator.edges_examined for generator in generators),
-            dtype=np.int64,
-            count=h,
-        )
-        - edges_before
-    )
-    return UniformShard(members, sizes, tags, edges, time.process_time() - started)
+        engine = cache.get("slot_engine")
+        if engine is None:
+            engine = cache["slot_engine"] = slot_engine(
+                generator_cls, graph, probabilities, weights
+            )
+    drawn = engine.draw(entropy, slots)
+    return SlotShard(*drawn, time.process_time() - started)
 
 
-def _draw_store_shard(payload, shard) -> StoreShard:
-    generator_cls, graph, probability_arrays, weights, entropy = payload
-    slots = np.asarray(shard, dtype=np.int64)
-    started = time.process_time()
-    cache = current_worker_cache()
-    if cache is None:
-        generators = [generator_cls(graph, probs) for probs in probability_arrays]
-    else:
-        generators = cache.get("store_generators")
-        if generators is None:
-            generators = cache["store_generators"] = [
-                generator_cls(graph, probs) for probs in probability_arrays
-            ]
-    from repro.rrsets.store import draw_slot
-
-    tags = np.empty(slots.size, dtype=np.int64)
-    roots = np.empty(slots.size, dtype=np.int64)
-    sizes = np.empty(slots.size, dtype=np.int64)
-    rr_sets: List[np.ndarray] = []
-    for index, slot in enumerate(slots.tolist()):
-        members, advertiser, root = draw_slot(generators, weights, entropy, slot)
-        tags[index] = advertiser
-        roots[index] = root
-        sizes[index] = members.size
-        rr_sets.append(members)
-    members = np.concatenate(rr_sets) if rr_sets else _EMPTY
-    return StoreShard(slots, members, sizes, tags, roots, time.process_time() - started)
-
-
-def run_store_shards(
-    generator_cls: Type,
+def run_slot_shards(
+    generator_cls: Optional[Type],
     graph: CSRDiGraph,
-    probability_arrays: Sequence[np.ndarray],
-    weights: np.ndarray,
+    probabilities,
+    weights: Optional[np.ndarray],
     entropy: int,
-    slots: np.ndarray,
+    slots,
     executor: ShardedExecutor,
-) -> List[StoreShard]:
-    """Draw the given RR-store slots across the executor's shards.
+) -> List[SlotShard]:
+    """Draw RR-set slots across the executor's shards, in slot order.
 
-    Each slot draws from its own ``SeedSequence(entropy, spawn_key=(slot,))``
-    substream (:func:`repro.rrsets.store.draw_slot`), so the shard layout —
-    and therefore ``n_jobs``, pool reuse, crash recovery — can never change
-    the result: the merged slots are bit-identical to a serial draw.
+    ``slots`` is a ``(lo, hi)`` range or an explicit slot array; it is cut
+    into contiguous pieces by :func:`~repro.parallel.executor.shard_counts`.
+    Every slot is a pure function of ``(entropy, slot)``
+    (:mod:`repro.rrsets.slots`), so the shard layout — and with it
+    ``n_jobs``, ``REPRO_MAX_JOBS``, pool reuse and crash recovery — never
+    changes the merged result.  ``generator_cls=None`` selects the hashed
+    engine; ``probabilities`` is one array (a single advertiser, every tag
+    0) or a list with one array per advertiser.  Keep the caller's array and
+    list objects across calls: persistent pools cache broadcast payloads by
+    element identity.
     """
-    counts = shard_counts(int(slots.size), executor.n_jobs)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    shards = [slots[offsets[i]: offsets[i + 1]] for i in range(counts.size)]
-    if not isinstance(probability_arrays, list):
-        probability_arrays = list(probability_arrays)
-    payload = (generator_cls, graph, probability_arrays, weights, entropy)
-    return executor.run(_draw_store_shard, payload, shards)
-
-
-def run_uniform_shards(
-    generator_cls: Type,
-    graph: CSRDiGraph,
-    probability_arrays: Sequence[np.ndarray],
-    weights: np.ndarray,
-    count: int,
-    rng: RandomSource,
-    executor: ShardedExecutor,
-) -> List[UniformShard]:
-    """Generate ``count`` advertiser-tagged RR-sets across shards.
-
-    Each shard samples advertisers from ``weights`` and generates against its
-    own substream; shard results come back in shard order.
-    """
-    counts = shard_counts(count, executor.n_jobs)
-    rngs = spawn_rngs(rng, len(counts))
-    # Keep the caller's list object when possible: persistent pools cache
-    # broadcast payloads by element identity, so rebuilding the list every
-    # call would re-pickle the probability arrays to every worker each round.
-    if not isinstance(probability_arrays, list):
-        probability_arrays = list(probability_arrays)
-    payload = (generator_cls, graph, probability_arrays, weights)
-    return executor.run(_generate_uniform_shard, payload, list(zip(counts.tolist(), rngs)))
+    if isinstance(slots, tuple):
+        lo, hi = slots
+        counts = shard_counts(hi - lo, executor.n_jobs)
+        bounds = (lo + np.concatenate(([0], np.cumsum(counts)))).tolist()
+        pieces = list(zip(bounds[:-1], bounds[1:]))
+    else:
+        counts = shard_counts(int(slots.size), executor.n_jobs)
+        pieces = np.split(slots, np.cumsum(counts)[:-1])
+    payload = (generator_cls, graph, probabilities, weights)
+    return executor.run(
+        _draw_slots_shard, payload, [(entropy, piece) for piece in pieces]
+    )

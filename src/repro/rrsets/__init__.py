@@ -28,6 +28,13 @@ The engine consumes randomness in exactly the same order as the seed
 implementation (preserved in :mod:`~repro.rrsets.legacy`), so a fixed seed
 yields bit-identical RR-sets — ``tests/test_rr_engine_equivalence.py`` pins
 this and ``benchmarks/bench_rr_engine.py`` tracks the speedup.
+
+The ``fast()`` policy replaces layer 1 by slot-keyed draws
+(:mod:`~repro.rrsets.slots`): every RR-set is a pure function of
+``(entropy, slot)``, with hashed live-edge coins, and whole batches of sets
+are traversed level-synchronously.  Results are then independent of
+``n_jobs`` and statistically equivalent to the seed engine
+(``tests/test_rr_hashed_equivalence.py``).
 """
 
 from repro.rrsets.generator import RRProvenance, RRSetGenerator, SubsimRRGenerator

@@ -50,6 +50,18 @@ from repro.exceptions import SamplingError
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
 
 
+def split_by_sizes(flat: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
+    """Views of ``flat`` per set, for consecutive sets of the given sizes.
+
+    Plain slices over precomputed bounds: ``np.split`` costs several
+    microseconds per piece, which dominates at tens of thousands of sets.
+    """
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    bounds = bounds.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 class RRCollection:
     """An append-only list of RR-sets, each tagged with an advertiser index.
 
@@ -186,7 +198,7 @@ class RRCollection:
         # buffer first so the views are read-only — they share storage with
         # the CSR member array.
         flat.setflags(write=False)
-        self._sets.extend(np.split(flat, np.cumsum(sizes[:-1])))
+        self._sets.extend(split_by_sizes(flat, sizes))
         self._tags.extend(tags.tolist())
         self._total_size += int(flat.size)
         if was_empty:

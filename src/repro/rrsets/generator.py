@@ -16,6 +16,13 @@ Two generators are provided:
   skipping, which touches only the successful edges instead of all of them.
   For heterogeneous probabilities it falls back to vectorised Bernoulli draws.
 
+Both draw one RR-set at a time from an RNG stream.  The ``fast()`` policy
+does not use them: its RR-sets are hashed slots sampled a batch at a time
+(:mod:`repro.rrsets.slots`), reached from here through
+:meth:`RRSetGenerator.generate_batch_parallel`.  ``SubsimRRGenerator``
+remains for an explicit ``generator_cls`` and as the per-set baseline of
+``benchmarks/bench_rr_engine.py``.
+
 Implementation notes (the vectorized engine)
 --------------------------------------------
 The traversal keeps every per-element data structure in flat numpy arrays:
@@ -50,7 +57,7 @@ from repro.graph.digraph import CSRDiGraph
 from repro.utils.rng import RandomSource, as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import Runtime
+    from repro.runtime import ExecutionPolicy, Runtime
 
 
 class RRProvenance(NamedTuple):
@@ -182,19 +189,22 @@ class RRSetGenerator:
         rng: RandomSource = None,
         n_jobs: Optional[int] = None,
         runtime: Optional["Runtime"] = None,
+        policy: Optional["ExecutionPolicy"] = None,
     ) -> List[np.ndarray]:
-        """Generate ``count`` RR-sets sharded across ``n_jobs`` worker processes.
+        """Generate ``count`` RR-sets, sharded across ``n_jobs`` worker processes.
 
-        Each worker rebuilds this generator against the (fork-inherited or
-        pickled-once) graph, draws from its own ``SeedSequence.spawn()``
-        substream and returns its shard as flat arrays; shards are merged in
-        worker-index order, so a fixed ``(seed, n_jobs)`` pair is
-        bit-reproducible.  ``n_jobs=1`` (or ``None``) falls back to
-        :meth:`generate_batch` untouched — bit-identical to the serial
-        engine.  ``n_jobs>1`` uses different substreams than the serial
-        stream (statistically equivalent RR-sets, not bit-identical to
-        ``n_jobs=1``).  The workers' ``edges_examined`` counters are folded
-        back into this generator.
+        ``policy`` picks the engine.  Under ``rr_engine == "subsim"`` (the
+        ``fast()`` engine) the sets are slots ``[0, count)`` of the hashed
+        sampler (:mod:`repro.rrsets.slots`) over this generator's graph and
+        probabilities, keyed by one entropy draw from ``rng``: ``n_jobs`` is
+        then a pure speed knob.  Without a policy, or under ``"legacy"``,
+        this generator's own per-set engine runs: ``n_jobs=1`` (or ``None``)
+        is :meth:`generate_batch` untouched, and ``n_jobs>1`` gives each
+        worker its own ``SeedSequence.spawn()`` substream, merged in worker
+        order — bit-reproducible for a fixed ``(seed, n_jobs)`` pair, but not
+        bit-identical to ``n_jobs=1``.  ``n_jobs`` defaults to
+        ``policy.n_jobs``.  The workers' ``edges_examined`` counters are
+        folded back into this generator.
 
         ``runtime`` (or the ambient :func:`repro.runtime.current_runtime`)
         supplies a persistent worker pool reused across calls; results are
@@ -202,10 +212,22 @@ class RRSetGenerator:
         """
         if count < 0:
             raise SamplingError("count must be non-negative")
-        from repro.parallel.rr import generate_batch_sharded
+        from repro.parallel.rr import generate_batch_sharded, run_slot_shards, split_flat
         from repro.runtime import acquire_executor
 
+        if n_jobs is None and policy is not None:
+            n_jobs = policy.n_jobs
         executor = acquire_executor(n_jobs, runtime)
+        if policy is not None and policy.rr_engine == "subsim":
+            entropy = int(as_rng(rng).integers(0, 1 << 63))
+            shards = run_slot_shards(
+                None, self._graph, self._probabilities, None, entropy, (0, count), executor
+            )
+            rr_sets: List[np.ndarray] = []
+            for shard in shards:
+                rr_sets.extend(split_flat(shard.members, shard.sizes))
+                self.record_edges_examined(int(shard.edges_examined.sum()))
+            return rr_sets
         if executor.n_jobs <= 1 or count <= 1:
             return self.generate_batch(count, rng)
         return generate_batch_sharded(self, count, rng, executor)

@@ -8,15 +8,17 @@ the whole collection.
 
 Determinism contract (the bit-identity invariant)
 -------------------------------------------------
-Every RR-set slot ``i`` is drawn from its **own seed substream**
-``SeedSequence(seed, spawn_key=(i,))``, consuming draws in a fixed order:
-one advertiser draw (cpe-weighted, as in
-:class:`~repro.rrsets.uniform.UniformRRSampler`), one root draw
-(``integers(0, num_nodes)``), then the traversal's Bernoulli blocks.  A
-slot's content is therefore a pure function of
-``(seed, slot, graph, probabilities, weights, rr_engine)`` — independent of
-every other slot, of ``n_jobs``, and of whether the slot was drawn at
-generation time or redrawn during maintenance.
+Every RR-set slot ``i`` is a pure function of ``(seed, i, graph,
+probabilities, weights, rr_engine)`` — independent of every other slot, of
+``n_jobs``, and of whether the slot was drawn at generation time or redrawn
+during maintenance (:mod:`repro.rrsets.slots`):
+
+* under ``fast()`` its tag, root and edge coins are hashes of ``(seed, i,
+  edge key)`` — the hashed live-edge engine;
+* under ``seed()`` it draws from its own substream
+  ``SeedSequence(seed, spawn_key=(i,))``: one cpe-weighted advertiser draw,
+  one root draw (``integers(0, num_nodes)``), then the traversal's
+  Bernoulli blocks.
 
 That purity is what makes the equivalence exact: a store that has absorbed
 delta batches ``D`` is **bit-identical** (members, tags, roots, coverage
@@ -25,9 +27,10 @@ state) to a store generated fresh on ``graph + D`` under the same
 
 * a slot whose member signature does not intersect the dirty region replays
   identically on the new graph — reverse traversal only examines the
-  in-neighbourhoods of its members, and those blocks are unchanged;
-* a stale slot is redrawn from the *same* substream the fresh store would
-  use for that slot.
+  in-neighbourhoods of its members, and those blocks are unchanged (the
+  hashed engine keys coins by edge, so even their order is irrelevant);
+* a stale slot is redrawn with the *same* slot function the fresh store
+  would use for that slot.
 
 The invalidation rule — stale iff ``members ∩ dirty ≠ ∅`` (globally, or for
 the slot's advertiser under per-advertiser probability dirt), or the node id
@@ -39,7 +42,7 @@ Maintenance execution is governed by ``ExecutionPolicy.maintenance``:
 ``"pool"`` (the default) shards redraws across the persistent worker pool of
 the ambient/passed :class:`~repro.runtime.Runtime` when ``n_jobs`` allows,
 ``"inline"`` forces in-process redraws — bit-identical either way, exactly
-because slots own their substreams.
+because slots are pure functions of their index.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.deltas import DeltaEffect, GraphDelta, MutableGraphView
-from repro.rrsets.collection import RRCollection
+from repro.rrsets.collection import RRCollection, split_by_sizes
 from repro.rrsets.estimators import estimate_total_revenue
 from repro.rrsets.generator import RRSetGenerator
 
@@ -69,7 +72,7 @@ class SlotProvenance(NamedTuple):
     lives in the collection; this tuple carries the remaining replay inputs.
     """
 
-    slot: int  #: substream index (``spawn_key``) the slot draws from
+    slot: int  #: slot index the draw is keyed by
     root: int  #: root node of the recorded traversal
     tag: int  #: advertiser the slot was drawn for
 
@@ -90,31 +93,6 @@ class MaintenanceReport:
         return self.total - self.redrawn
 
 
-def _slot_rng(entropy: int, slot: int) -> np.random.Generator:
-    """The dedicated RNG substream of slot ``slot``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(int(slot),)))
-
-
-def draw_slot(
-    generators: Sequence[RRSetGenerator],
-    weights: np.ndarray,
-    entropy: int,
-    slot: int,
-) -> Tuple[np.ndarray, int, int]:
-    """Draw one store slot: ``(members, advertiser, root)``.
-
-    The single definition of the per-slot draw order — the serial path, the
-    pool workers (:func:`repro.parallel.rr.run_store_shards`) and any fresh
-    regeneration all call this, which is what makes them bit-identical.
-    """
-    rng = _slot_rng(entropy, slot)
-    advertiser = int(rng.choice(len(generators), p=weights))
-    generator = generators[advertiser]
-    root = int(rng.integers(0, generator.graph.num_nodes))
-    members = generator.generate(rng, root=root)
-    return members, advertiser, root
-
-
 class RRStore:
     """A delta-maintained, advertiser-tagged RR-set collection.
 
@@ -129,12 +107,14 @@ class RRStore:
         Cost-per-engagement per advertiser; advertiser draws are
         cpe-weighted exactly like :class:`~repro.rrsets.uniform.UniformRRSampler`.
     seed:
-        Base entropy of the per-slot substreams.  ``None`` draws fresh
+        Base entropy of the slot draws.  ``None`` draws fresh
         entropy once; read it back via :attr:`seed` to reproduce the store.
     policy:
         :class:`~repro.runtime.ExecutionPolicy` supplying the RR engine
-        (``rr_engine``), the ``n_jobs`` shard count and the ``maintenance``
-        execution mode.  ``None`` resolves to ``ExecutionPolicy.fast()``.
+        (``rr_engine``: hashed slots under ``"subsim"``, per-slot substreams
+        of the legacy generator otherwise), the ``n_jobs`` shard count and
+        the ``maintenance`` execution mode.  ``None`` resolves to
+        ``ExecutionPolicy.fast()``.
     runtime:
         Optional :class:`~repro.runtime.Runtime` whose persistent pool the
         sharded generation/maintenance paths run on (falls back to the
@@ -165,17 +145,14 @@ class RRStore:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy)
         self._entropy = int(seed)
-        if self._policy.rr_engine == "subsim":
-            from repro.rrsets.generator import SubsimRRGenerator
-
-            self._generator_cls = SubsimRRGenerator
-        else:
-            self._generator_cls = RRSetGenerator
+        #: ``None`` selects the hashed slot engine.
+        self._generator_cls = (
+            None if self._policy.rr_engine == "subsim" else RRSetGenerator
+        )
         self._members: List[np.ndarray] = []
         self._tags: List[int] = []
         self._roots: List[int] = []
         self._collection: Optional[RRCollection] = None
-        self._generators: Optional[List[RRSetGenerator]] = None
         self._payload_probabilities: Optional[List[np.ndarray]] = None
         self._synced_epoch = view.epoch
         self._redraws_total = 0
@@ -197,7 +174,7 @@ class RRStore:
 
     @property
     def seed(self) -> int:
-        """Base entropy of the per-slot substreams (reproduces the store)."""
+        """Base entropy of the slot draws (reproduces the store)."""
         return self._entropy
 
     @property
@@ -261,11 +238,10 @@ class RRStore:
     # generation
     # ------------------------------------------------------------------ #
     def generate(self, count: int) -> None:
-        """Draw ``count`` additional RR-set slots (substreams keyed by index).
+        """Draw ``count`` additional RR-set slots, keyed by absolute index.
 
-        Slot substreams are keyed by absolute slot index, so a store filled
-        by several ``generate`` calls is bit-identical to one filled by a
-        single call for the total count.
+        A store filled by several ``generate`` calls is therefore
+        bit-identical to one filled by a single call for the total count.
         """
         if count < 0:
             raise SamplingError("count must be non-negative")
@@ -275,66 +251,42 @@ class RRStore:
         if self._view.num_nodes == 0:
             raise SamplingError("cannot generate RR-sets on an empty graph")
         start = len(self._members)
-        slots = np.arange(start, start + count, dtype=np.int64)
-        drawn = self._draw_slots(slots)
+        drawn = self._draw_slots((start, start + count))
         for members, tag, root in drawn:
             self._members.append(members)
             self._tags.append(tag)
             self._roots.append(root)
         self._collection = None
 
-    def _ensure_generators(self) -> List[RRSetGenerator]:
-        if self._generators is None:
-            graph = self._view.graph
+    def _draw_slots(self, slots) -> List[Tuple[np.ndarray, int, int]]:
+        """Draw the given slots (a ``(lo, hi)`` range or an index array),
+        sharding across the pool when allowed."""
+        n_jobs = self._policy.n_jobs if self._policy.maintenance == "pool" else 1
+        if self._payload_probabilities is None:
             self._payload_probabilities = self._view.advertiser_edge_probabilities
-            self._generators = [
-                self._generator_cls(graph, probabilities)
-                for probabilities in self._payload_probabilities
-            ]
-        return self._generators
-
-    def _draw_slots(self, slots: np.ndarray) -> List[Tuple[np.ndarray, int, int]]:
-        """Draw the given slots, sharding across the pool when allowed."""
-        from repro.parallel import resolve_n_jobs
+        from repro.parallel.rr import run_slot_shards
         from repro.runtime import acquire_executor
 
-        n_jobs = resolve_n_jobs(self._policy.n_jobs)
-        if (
-            self._policy.maintenance == "pool"
-            and n_jobs > 1
-            and slots.size > 1
-        ):
-            from repro.parallel.rr import run_store_shards
-
-            self._ensure_generators()
-            executor = acquire_executor(self._policy.n_jobs, self._runtime)
-            shards = run_store_shards(
-                self._generator_cls,
-                self._view.graph,
-                self._payload_probabilities,
-                self._weights,
-                self._entropy,
-                slots,
-                executor,
-            )
-            drawn: List[Tuple[np.ndarray, int, int]] = []
-            for shard in shards:
-                offsets = np.cumsum(shard.sizes[:-1])
-                for members, tag, root in zip(
-                    np.split(shard.members, offsets) if shard.sizes.size else [],
-                    shard.tags.tolist(),
-                    shard.roots.tolist(),
-                ):
-                    # Detach from the shard buffer: a split slice is a view
-                    # that would keep the whole buffer alive for as long as
-                    # the slot survives.
-                    drawn.append((members.copy(), int(tag), int(root)))
-            return drawn
-        generators = self._ensure_generators()
-        return [
-            draw_slot(generators, self._weights, self._entropy, int(slot))
-            for slot in slots
-        ]
+        shards = run_slot_shards(
+            self._generator_cls,
+            self._view.graph,
+            self._payload_probabilities,
+            self._weights,
+            self._entropy,
+            slots,
+            acquire_executor(n_jobs, self._runtime),
+        )
+        drawn: List[Tuple[np.ndarray, int, int]] = []
+        for shard in shards:
+            for members, tag, root in zip(
+                split_by_sizes(shard.members, shard.sizes),
+                shard.tags.tolist(),
+                shard.roots.tolist(),
+            ):
+                # Detach from the shard buffer: a split slice is a view that
+                # would keep the whole buffer alive as long as the slot does.
+                drawn.append((members.copy(), tag, root))
+        return drawn
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -346,7 +298,7 @@ class RRStore:
         set — slots whose member signature intersects the batch's dirty
         region (globally, or for the slot's advertiser under per-advertiser
         probability updates) — and redraws exactly those slots from their
-        own substreams against the post-delta snapshot.  The resulting store
+        slot function against the post-delta snapshot.  The resulting store
         is bit-identical to full regeneration on the new graph.
 
         Redraw failures are recoverable: nothing store-side is mutated until
@@ -354,13 +306,12 @@ class RRStore:
         redraw (a raise-mode :class:`~repro.exceptions.WorkerCrashError` /
         :class:`~repro.exceptions.ShardTimeoutError`) leaves the store in a
         *pending* state — serving is refused, but :meth:`retry_maintenance`
-        re-draws the same slots from the same substreams and commits,
+        re-draws the same slots with the same slot function and commits,
         bit-identically to an uninterrupted call.
         """
         self._check_sync()
         effect = self._view.apply(deltas)
-        self._generators = None  # graph snapshot changed
-        self._payload_probabilities = None
+        self._payload_probabilities = None  # graph snapshot changed
         total = len(self._members)
         stale, reason = (
             self._stale_slots(effect) if total else (_EMPTY, "clean")
@@ -530,11 +481,8 @@ class RRStore:
         if roots.size and (roots.min() < 0 or roots.max() >= view.num_nodes):
             raise SamplingError("slot roots must be valid node ids")
         store = cls(view, cpes, seed=seed, policy=policy, runtime=runtime)
-        offsets = np.cumsum(sizes[:-1]) if sizes.size else sizes
         # Copies, not views: a slot must not keep the whole payload alive.
-        store._members = [
-            chunk.copy() for chunk in (np.split(members, offsets) if sizes.size else [])
-        ]
+        store._members = [chunk.copy() for chunk in split_by_sizes(members, sizes)]
         store._tags = [int(tag) for tag in tags]
         store._roots = [int(root) for root in roots]
         return store

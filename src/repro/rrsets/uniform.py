@@ -31,6 +31,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UniformRRSampler:
     """Uniform sampling of RR-sets across advertisers (Section 4.2).
 
+    Under the ``fast()`` engine (``policy.rr_engine == "subsim"`` and no
+    explicit ``generator_cls``) the sampler draws *slots* of the hashed
+    sampler (:mod:`repro.rrsets.slots`): :meth:`generate_collection` draws
+    slots ``[next, next + count)`` under one entropy taken from ``seed``,
+    so every RR-set and tag is a pure function of ``(seed, slot)``.  The
+    result is the same for any ``n_jobs``, with or without a pool, and
+    whether a count is drawn in one call or split across several.
+
+    With a per-set generator (the ``seed()`` policy, or an explicit
+    ``generator_cls``) the serial sampler draws advertiser and RR-set
+    interleaved on one RNG stream — bit-identical to the seed tree — and
+    ``n_jobs>1`` draws slots of that generator instead, each on its own
+    ``SeedSequence(entropy, spawn_key=(slot,))`` substream.
+
     Parameters
     ----------
     graph:
@@ -41,22 +55,18 @@ class UniformRRSampler:
         Cost-per-engagement values; the advertiser of each RR-set is drawn
         with probability ``cpe(i) / Γ``.
     generator_cls:
-        RR-set generator class (:class:`RRSetGenerator` or
-        :class:`SubsimRRGenerator`).  ``None`` (the default) resolves from
-        ``policy`` — SUBSIM when ``policy.rr_engine == "subsim"`` (the
-        ``fast`` default), the legacy reverse BFS otherwise.
+        Per-set RR-set generator class (:class:`RRSetGenerator` or
+        :class:`~repro.rrsets.generator.SubsimRRGenerator`).  ``None`` (the
+        default) resolves from ``policy``: the hashed sampler when
+        ``policy.rr_engine == "subsim"`` (the ``fast`` default), the legacy
+        reverse BFS otherwise.
     n_jobs:
         Shard :meth:`generate_collection` across this many worker processes
-        (``None``/1 → serial, untouched seed-compatible path; ``-1`` → all
-        cores).  Each shard samples advertisers and generates RR-sets on its
-        own ``SeedSequence.spawn()`` substream and shards merge in
-        worker-index order, so a fixed ``(seed, n_jobs)`` pair is
-        bit-reproducible; ``n_jobs>1`` draws different substreams than the
-        serial stream (statistically equivalent collections).  Defaults to
+        (``None``/1 → serial; ``-1`` → all cores).  Defaults to
         ``policy.n_jobs`` when a policy is given.
     policy:
-        :class:`repro.runtime.ExecutionPolicy` supplying the generator class
-        and ``n_jobs`` defaults; explicit arguments win over it.  ``None``
+        :class:`repro.runtime.ExecutionPolicy` supplying the engine and
+        ``n_jobs`` defaults; explicit arguments win over it.  ``None``
         resolves to :meth:`ExecutionPolicy.fast`.
     runtime:
         :class:`repro.runtime.Runtime` whose persistent worker pool the
@@ -82,16 +92,12 @@ class UniformRRSampler:
         cpe_array = np.asarray(cpes, dtype=np.float64)
         if np.any(cpe_array <= 0):
             raise SamplingError("cpe values must be positive")
+        from repro.parallel import resolve_n_jobs
         from repro.runtime import resolve_policy
 
         policy = resolve_policy(policy)
-        if generator_cls is None:
-            if policy.rr_engine == "subsim":
-                from repro.rrsets.generator import SubsimRRGenerator
-
-                generator_cls = SubsimRRGenerator
-            else:
-                generator_cls = RRSetGenerator
+        if generator_cls is None and policy.rr_engine == "legacy":
+            generator_cls = RRSetGenerator
         if n_jobs is None:
             n_jobs = policy.n_jobs
         self._runtime = runtime
@@ -100,20 +106,26 @@ class UniformRRSampler:
         self._gamma = float(cpe_array.sum())
         self._weights = cpe_array / self._gamma
         self._rng = as_rng(seed)
+        #: ``None`` selects the hashed slot engine.
         self._generator_cls = generator_cls
         self._probability_arrays = list(advertiser_edge_probabilities)
-        self._generators: List[RRSetGenerator] = [
-            generator_cls(graph, probabilities)
-            for probabilities in advertiser_edge_probabilities
-        ]
-        from repro.parallel import resolve_n_jobs
-
         self._n_jobs = resolve_n_jobs(n_jobs)
+        self._generators: List[RRSetGenerator] = []
+        self._edges_examined = 0
+        if generator_cls is not None:
+            self._generators = [
+                generator_cls(graph, probabilities)
+                for probabilities in self._probability_arrays
+            ]
+        self._slotted = generator_cls is None or self._n_jobs > 1
+        self._next_slot = 0
+        if self._slotted:
+            self._entropy = int(self._rng.integers(0, 1 << 63))
 
     @property
     def num_advertisers(self) -> int:
         """Number of advertisers ``h``."""
-        return len(self._generators)
+        return len(self._probability_arrays)
 
     @property
     def gamma(self) -> float:
@@ -126,15 +138,20 @@ class UniformRRSampler:
         return self._graph
 
     def edges_examined(self) -> int:
-        """Total in-edges examined by all per-advertiser generators."""
-        return sum(generator.edges_examined for generator in self._generators)
+        """Total in-edges examined by every RR-set drawn so far."""
+        return self._edges_examined + sum(
+            generator.edges_examined for generator in self._generators
+        )
 
     def sample_advertiser(self) -> int:
         """Draw an advertiser index with probability proportional to cpe."""
         return int(self._rng.choice(self.num_advertisers, p=self._weights))
 
     def generate_one(self) -> tuple[np.ndarray, int]:
-        """Generate a single ``(rr_set, advertiser)`` pair."""
+        """Generate the sampler's next ``(rr_set, advertiser)`` pair."""
+        if self._slotted:
+            collection = self.generate_collection(1)
+            return collection.rr_set(0), collection.tag(0)
         advertiser = self.sample_advertiser()
         rr_set = self._generators[advertiser].generate(self._rng)
         return rr_set, advertiser
@@ -142,15 +159,19 @@ class UniformRRSampler:
     def generate_collection(self, count: int, into: Optional[RRCollection] = None) -> RRCollection:
         """Generate ``count`` RR-sets, optionally appending to an existing collection.
 
-        The advertiser draw and the RR-set draw stay interleaved per set (the
-        estimator's distribution requires it and it keeps the RNG stream
-        bit-compatible with the reference engine); the per-set setup cost is
-        amortised by resolving the hot references once for the whole batch.
+        The slot-keyed path (see the class docstring) draws the next
+        ``count`` slots through :func:`repro.parallel.rr.run_slot_shards`
+        and merges the tagged shards with :meth:`RRCollection.from_shards` /
+        :meth:`RRCollection.extend_from_shards`.  The executor comes from
+        the sampler's :class:`~repro.runtime.Runtime` (or the ambient one),
+        so RMA's doubling rounds reuse one persistent worker pool.  The
+        serial per-set path keeps the advertiser and RR-set draws
+        interleaved on one stream.
         """
         if count < 0:
             raise SamplingError("count must be non-negative")
-        if self._n_jobs > 1 and count > 1:
-            return self._generate_collection_sharded(count, into)
+        if self._slotted:
+            return self._generate_slots(count, into)
         collection = into if into is not None else RRCollection(
             self._graph.num_nodes, self.num_advertisers
         )
@@ -161,35 +182,24 @@ class UniformRRSampler:
             add(rr_set, advertiser)
         return collection
 
-    def _generate_collection_sharded(
-        self, count: int, into: Optional[RRCollection]
-    ) -> RRCollection:
-        """Sharded collection generation (the ``n_jobs>1`` path).
-
-        Worker substreams are spawned from this sampler's RNG (advancing it,
-        so successive calls generate fresh sets) and the tagged shards are
-        merged through :meth:`RRCollection.from_shards` /
-        :meth:`RRCollection.extend_from_shards` without a per-set round-trip.
-        The executor comes from the sampler's :class:`~repro.runtime.Runtime`
-        (or the ambient one), so repeated calls — RMA's doubling rounds —
-        reuse one persistent worker pool instead of spawning per call.
-        """
-        from repro.parallel.rr import run_uniform_shards
+    def _generate_slots(self, count: int, into: Optional[RRCollection]) -> RRCollection:
+        from repro.parallel.rr import run_slot_shards
         from repro.runtime import acquire_executor
 
+        lo = self._next_slot
+        self._next_slot += count
         executor = acquire_executor(self._n_jobs, self._runtime)
-        shards = run_uniform_shards(
+        shards = run_slot_shards(
             self._generator_cls,
             self._graph,
             self._probability_arrays,
             self._weights,
-            count,
-            self._rng,
+            self._entropy,
+            (lo, lo + count),
             executor,
         )
         for shard in shards:
-            for advertiser, edges in enumerate(shard.edges_examined.tolist()):
-                self._generators[advertiser].record_edges_examined(edges)
+            self._edges_examined += int(shard.edges_examined.sum())
         triples = [(shard.members, shard.sizes, shard.tags) for shard in shards]
         if into is None:
             return RRCollection.from_shards(

@@ -45,7 +45,7 @@ MC_ENGINES = ("legacy", "batched")
 #: (:meth:`repro.rrsets.store.RRStore.apply_deltas`): ``"pool"`` shards
 #: invalidation re-draws across the persistent worker pool whenever
 #: ``n_jobs`` allows, ``"inline"`` keeps them in-process.  Never influences
-#: results — store slots draw from their own seed substreams, so both modes
+#: results — store slots are pure functions of their index, so both modes
 #: are bit-identical (and neither participates in ``rng_compat``).
 MAINTENANCE_MODES = ("pool", "inline")
 
@@ -61,9 +61,10 @@ class ExecutionPolicy:
     Attributes
     ----------
     rr_engine:
-        RR-set generator: ``"legacy"`` (seed-stream compatible reverse BFS)
-        or ``"subsim"`` (geometric-skipping SUBSIM generator, ~9× on
-        WC-style instances, different draw order).
+        RR-set engine: ``"legacy"`` (seed-stream compatible reverse BFS) or
+        ``"subsim"`` (the fast engine: hashed live-edge RR-sets sampled
+        level-synchronously in batches, :mod:`repro.rrsets.slots` —
+        statistically equivalent, and independent of ``n_jobs``).
     mc_engine:
         Monte-Carlo cascade engine: ``"legacy"`` (sequential per-cascade
         BFS, seed-stream compatible) or ``"batched"`` (level-synchronous
@@ -71,9 +72,13 @@ class ExecutionPolicy:
         equivalent).
     n_jobs:
         Worker-process count for the sharded stages (``None`` → serial,
-        ``-1`` → all cores, positive int → that many shards).  Fixed
-        ``(seed, n_jobs)`` runs are bit-reproducible; ``n_jobs>1`` draws
-        different RNG substreams than the serial run.
+        ``-1`` → all cores, positive int → that many shards).  Under
+        ``rr_engine="subsim"`` RR sampling is slot-keyed, so ``n_jobs``
+        only changes its speed.  The sharded Monte-Carlo stages, the
+        ``seed()`` TI pool fill and the ``seed()`` uniform sampler draw
+        per-shard or per-slot RNG substreams instead: fixed
+        ``(seed, n_jobs)`` runs are bit-reproducible, but ``n_jobs>1``
+        differs from the serial run.
     mc_batch_size:
         Cascades per batch of the batched MC engine; ``None`` sizes batches
         by the activation-bitmap budget
@@ -94,8 +99,8 @@ class ExecutionPolicy:
         re-draws when absorbing graph deltas: ``"pool"`` (default) shards
         them across the persistent worker pool when ``n_jobs`` allows,
         ``"inline"`` keeps them in-process.  Bit-identical either way —
-        store slots own their seed substreams — so it never participates in
-        ``rng_compat``.
+        store slots are pure functions of their index — so it never
+        participates in ``rng_compat``.
     payload:
         How worker broadcasts transport the payload (graph + probability
         arrays): ``"auto"`` (default — one ``multiprocessing.shared_memory``
@@ -171,7 +176,8 @@ class ExecutionPolicy:
 
         With ``n_jobs`` in ``(None, 1)`` the run is bit-identical to the
         seed tree; a larger ``n_jobs`` keeps the legacy engines but shards
-        them (bit-reproducible for fixed ``(seed, n_jobs)``).  ``failure``
+        them on per-shard or per-slot substreams (bit-reproducible for fixed
+        ``(seed, n_jobs)``).  ``failure``
         overrides the fault-tolerance behaviour of the sharded stages.
         """
         return cls(
@@ -185,8 +191,8 @@ class ExecutionPolicy:
         n_jobs: Optional[int] = -1,
         failure: Optional[FailurePolicy] = None,
     ) -> "ExecutionPolicy":
-        """The default policy: every fast engine — SUBSIM RR, batched MC —
-        plus all cores (override with ``n_jobs``).
+        """The default policy: every fast engine — hashed batched RR,
+        batched MC — plus all cores (override with ``n_jobs``).
         Statistically equivalent to :meth:`seed`, not bit-identical (see the
         RNG policy in ``docs/architecture.md``).  ``failure`` overrides the
         fault-tolerance behaviour of the sharded stages."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.advertising.oracle import ExactOracle
 from repro.core.oracle_solver import approximation_ratio
@@ -139,3 +141,106 @@ class TestOneBatch:
         revenue_small = oracle.total_revenue(small.allocation)
         revenue_large = oracle.total_revenue(large.allocation)
         assert revenue_large >= revenue_small * 0.8
+
+
+# --------------------------------------------------------------------------- #
+# the R2 budget check holds for every returned allocation, even at a cap
+# --------------------------------------------------------------------------- #
+_DATASETS = {}
+
+
+def _cap_dataset():
+    if "lastfm" not in _DATASETS:
+        from repro.datasets.registry import build_dataset
+
+        _DATASETS["lastfm"] = build_dataset(
+            "lastfm_like", num_advertisers=3, scale=0.15, seed=1, singleton_rr_sets=200
+        )
+    return _DATASETS["lastfm"]
+
+
+def _replayed_r2(instance, params, iterations):
+    """The solver's R2 collection, rebuilt by replaying its sampler calls."""
+    from repro.rrsets.uniform import UniformRRSampler
+    from repro.utils.rng import as_rng
+
+    sampler = UniformRRSampler(
+        instance.graph,
+        instance.all_edge_probabilities(),
+        instance.cpes(),
+        seed=as_rng(params.seed),
+        policy=params.resolved_policy(),
+    )
+    theta0 = params.initial_rr_sets
+    collection_one = sampler.generate_collection(theta0)
+    collection_two = sampler.generate_collection(theta0)
+    for _ in range(iterations - 1):
+        grow = len(collection_one)
+        sampler.generate_collection(grow, into=collection_one)
+        sampler.generate_collection(grow, into=collection_two)
+    return collection_two
+
+
+class TestFeasibilityAtCap:
+    """Every returned allocation passes its own R2 budget check — the
+    union-bounded one of Lines 8-11, or, once θ hit the cap without passing
+    it, the one-sided bound of the at-cap repair."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        cap=st.sampled_from([32, 64, 128, 512]),
+        jobs=st.sampled_from([1, 2]),
+    )
+    def test_every_allocation_passes_its_own_r2_check(self, seed, cap, jobs):
+        import math
+
+        from repro.advertising.oracle import RRSetOracle
+        from repro.core.bounds import upper_bound_from_estimate
+        from repro.core.sampling_solver import CAP_REPAIR_CONFIDENCE
+        from repro.runtime import ExecutionPolicy
+
+        instance = _cap_dataset().instance
+        params = quick_params(
+            initial_rr_sets=16,
+            max_rr_sets=cap,
+            seed=seed,
+            policy=ExecutionPolicy.fast(n_jobs=jobs),
+        )
+        result = rm_without_oracle(instance, params)
+        meta = result.metadata
+        assert meta["rr_sets"] <= cap
+        if meta["rr_sets"] < meta["rr_set_cap"]:
+            assert meta["feasible"]
+        r2 = _replayed_r2(instance, params, meta["iterations"])
+        assert len(r2) == meta["rr_sets"]
+        oracle = RRSetOracle(r2, instance.gamma)
+        h = instance.num_advertisers
+        t_max = max(1, math.ceil(math.log2(max(2.0, meta["rr_set_cap"] / 16)))) + 1
+        q = math.log((h + 2) * t_max / (params.delta / 4.0))
+        confidence = q if meta["feasible"] else CAP_REPAIR_CONFIDENCE
+        budgets = instance.budgets() * (1.0 + params.rho)
+        for advertiser, seeds in result.allocation.items():
+            if not seeds:
+                continue  # an advertiser without seeds spends nothing
+            ub = upper_bound_from_estimate(
+                oracle.revenue(advertiser, seeds),
+                len(r2),
+                instance.num_nodes * instance.gamma,
+                confidence,
+            )
+            assert ub <= budgets[advertiser] - instance.cost_of_set(advertiser, seeds)
+        if meta["feasible"]:
+            assert meta["seeds_removed_at_cap"] == {}
+
+    def test_seed_policy_replays_the_capped_round(self):
+        """``seed()`` promises the seed tree's outputs, so it keeps the
+        capped round and reports it as infeasible instead of repairing it."""
+        from repro.runtime import ExecutionPolicy
+
+        params = quick_params(
+            initial_rr_sets=16, max_rr_sets=32, seed=5, policy=ExecutionPolicy.seed()
+        )
+        result = rm_without_oracle(_cap_dataset().instance, params)
+        assert result.metadata["seeds_removed_at_cap"] == {}
+        assert result.metadata["feasible"] is False

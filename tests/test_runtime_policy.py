@@ -36,7 +36,7 @@ from repro.diffusion.engine import monte_carlo_spread as engine_monte_carlo_spre
 from repro.exceptions import PolicyError
 from repro.experiments.runner import run_algorithm
 from repro.parallel import MAX_JOBS_ENV
-from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
+from repro.rrsets.generator import RRSetGenerator
 from repro.rrsets.uniform import UniformRRSampler
 from repro.runtime import (
     ExecutionPolicy,
@@ -222,7 +222,8 @@ class TestDefaultResolution:
         sampler = UniformRRSampler(
             instance.graph, instance.all_edge_probabilities(), instance.cpes(), seed=3
         )
-        assert sampler._generator_cls is SubsimRRGenerator
+        # The fast default draws hashed slots, not per-set SUBSIM sets.
+        assert sampler._generator_cls is None
         pinned = UniformRRSampler(
             instance.graph,
             instance.all_edge_probabilities(),
