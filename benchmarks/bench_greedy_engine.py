@@ -19,7 +19,7 @@ Run directly::
 The full run writes ``BENCH_greedy_engine.json`` next to the repo root
 (override with ``--output``) and fails if the aggregate ``greedy_coverage``
 speedup drops below 3x; ``--fast`` applies a smaller aggregate gate plus a
-10x gate on the ``threshold_fill`` section alone.  The batched
+40x gate on the ``threshold_fill`` section alone.  The batched
 engines see the same floats and the heap's schedule does not depend on its
 batch size, so every section also asserts the two engines returned
 *identical allocations* (``tests/test_greedy_engine_equivalence.py`` pins
@@ -54,8 +54,9 @@ FAST = {
     "rr_sets": 600,
     "min_speedup": 1.5,
     # ThresholdGreedy + Fill drop dead elements in bulk on the coverage
-    # engine; the per-key side pops and rejects every one of them.
-    "min_section_speedup": {"threshold_fill": 10.0},
+    # engine and queue zeros in its heap's zero tail; the per-key side pops,
+    # rejects and re-stamps every one of them.
+    "min_section_speedup": {"threshold_fill": 40.0},
 }
 NUM_ADVERTISERS = 5
 GRAPH_SEED = 3

@@ -1,9 +1,9 @@
-"""Shared utilities: RNG management, the lazy-greedy heap, timers and logging."""
+"""Shared utilities: RNG management, the lazy-greedy heap, crash-safe writes,
+peak-RSS probes and input validation."""
 
 from repro.utils.rng import RandomSource, as_rng, spawn_rngs
 from repro.utils.lazy_heap import BatchedLazyGreedy
 from repro.utils.resources import peak_rss_bytes, peak_rss_mib
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
@@ -16,8 +16,6 @@ __all__ = [
     "as_rng",
     "spawn_rngs",
     "BatchedLazyGreedy",
-    "Timer",
-    "timed",
     "peak_rss_bytes",
     "peak_rss_mib",
     "check_positive",

@@ -53,17 +53,27 @@ element surfaces and is evaluated exactly as in a plain CELF loop.  The
 floats of the budget sum accumulate rounding, so pruning keeps a small
 relative margin; an element inside it survives and is rejected when popped.
 
-**Zero is final.**  On a ``pure`` heap a stale entry whose cached value is 0
-is re-committed as 0 without calling ``batch_evaluate`` — a monotone
-coverage marginal that reached 0 stays 0 — and zero entries are never
-speculated.  The refresh still draws its counter, so the schedule is
-unchanged.
+**The zero tail.**  On a ``pure`` heap a marginal that reached 0 stays 0,
+so zero-valued entries leave ``_heap`` for a FIFO and are never evaluated
+again.  Zeros sort after every positive entry, by counter, and counters
+are drawn in time order, so their round stamps never decrease along that
+order: the zeros form a queue of a *stale* prefix (stamped before this
+round) followed by the zeros stamped this round.  Once no positive entry
+is left, a one-at-a-time heap would re-stamp the stale prefix, in order,
+behind the current zeros and return the front.  The queue does the same
+with one ``rotate`` by the stale count, which :meth:`advance_round` sets
+to the queue's length (so a fully stale queue rotates onto itself).  A
+refresh to 0, or a pushed 0, joins the back, as its new counter would put
+it.  Zeros are therefore popped in exactly the plain CELF order, without
+the O(k log k) re-stamping of all k zeros on every pop that returns one.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from itertools import islice
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,9 +92,10 @@ class BatchedLazyGreedy:
     batch_size:
         Maximum number of stale entries refreshed per evaluation call.
     pure:
-        ``batch_evaluate`` is side-effect free and its values never increase
-        from one round to the next, so a cached zero is final and is
-        re-committed without an evaluation.
+        ``batch_evaluate`` is side-effect free and its values are
+        non-negative and never increase from one round to the next, so a
+        zero is final: zero entries wait in the zero tail and are never
+        evaluated again.
 
     ``advance_round`` marks every entry stale, ``pop_best`` returns the
     element with the largest current value, popped keys leave the heap, and
@@ -96,7 +107,9 @@ class BatchedLazyGreedy:
     one entry at a time exactly when (and only when) a one-at-a-time heap
     would perform it, drawing the same counter sequence.  Speculative values
     the schedule never demands are simply discarded — evaluation is a pure
-    gather, so over-evaluating costs vector width, not correctness.
+    gather, so over-evaluating costs vector width, not correctness.  On a
+    ``pure`` heap, zero-valued entries wait in a FIFO zero tail instead of
+    the heap (see the module docstring) and are popped in the same order.
 
     The purity contract: values returned by ``batch_evaluate`` may only
     change together with an ``advance_round`` call (every greedy consumer
@@ -124,6 +137,10 @@ class BatchedLazyGreedy:
         # dataclass overhead on the hot path.  An entry whose key is no
         # longer in ``_members`` is dead and skipped when it surfaces.
         self._heap: List[Tuple[float, int, int, int]] = []
+        # Pure heaps only: keys whose value is 0, in counter order; the
+        # first ``_stale`` were stamped before the current round.
+        self._zeros: Deque[int] = deque()
+        self._stale = 0
         self._members: Dict[int, float] = {}
         # Speculative evaluations for the current round: key -> value.
         self._pending: Dict[int, float] = {}
@@ -155,7 +172,8 @@ class BatchedLazyGreedy:
 
         When the heap is empty this heapifies once instead of pushing one
         entry at a time.  Ties between equal values resolve by insertion
-        order, exactly like one push per key.
+        order, exactly like one push per key; on a pure heap the zeros join
+        the back of the zero tail in that order.
         """
         key_array = np.ascontiguousarray(keys, dtype=np.int64)
         if key_array.size == 0:
@@ -172,6 +190,9 @@ class BatchedLazyGreedy:
             (-value, base + offset, key, self._round)
             for offset, (key, value) in enumerate(zip(key_list, value_list))
         ]
+        if self._pure:
+            self._zeros.extend(entry[2] for entry in entries if entry[0] == 0.0)
+            entries = [entry for entry in entries if entry[0] != 0.0]
         if self._heap:
             for entry in entries:
                 heapq.heappush(self._heap, entry)
@@ -187,23 +208,27 @@ class BatchedLazyGreedy:
     def discard(self, keys: Iterable[int]) -> None:
         """Remove every queued key in ``keys`` (keys not queued are ignored).
 
-        Entries die lazily; once dead entries outnumber live ones the heap is
-        compacted and re-heapified in one pass.  That keeps the pop sequence:
-        entries compare by their unique ``(-value, counter)`` pair, so any
-        valid heap layout of the same entries pops them in the same order.
+        Entries die lazily; once dead entries outnumber live ones the heap
+        and the zero tail are compacted in one pass each.  That keeps the pop
+        sequence: entries compare by their unique ``(-value, counter)`` pair,
+        so any valid heap layout of the same entries pops them in the same
+        order, and the zero tail keeps its order and its stale prefix.
         """
         members = self._members
         for key in np.asarray(keys, dtype=np.int64).tolist():
             members.pop(key, None)
-        heap = self._heap
-        if len(heap) > 2 * len(members) + self._batch_size:
+        heap, zeros = self._heap, self._zeros
+        if len(heap) + len(zeros) > 2 * len(members) + self._batch_size:
             heap[:] = [entry for entry in heap if entry[2] in members]
             heapq.heapify(heap)
+            self._stale = sum(key in members for key in islice(zeros, self._stale))
+            self._zeros = deque(key for key in zeros if key in members)
 
     def advance_round(self) -> None:
         """Signal that the underlying solution changed (stales every entry)."""
         self._round += 1
         self._pending.clear()
+        self._stale = len(self._zeros)
 
     def _speculate(self, key: int) -> float:
         """Batch-evaluate ``key`` plus lookahead candidates; return its value.
@@ -219,14 +244,12 @@ class BatchedLazyGreedy:
         """
         batch = [key]
         if self._batch_size > 1:
-            members, pending = self._members, self._pending
-            current_round, pure = self._round, self._pure
-            for negated, _counter, other, evaluated in self._heap[: self._batch_size]:
+            members, pending, current_round = self._members, self._pending, self._round
+            for _negated, _counter, other, evaluated in self._heap[: self._batch_size]:
                 if (
                     evaluated != current_round
                     and other in members
                     and other not in pending
-                    and not (pure and negated == 0.0)
                 ):
                     batch.append(other)
                     if len(batch) == self._batch_size:
@@ -241,7 +264,8 @@ class BatchedLazyGreedy:
 
         Pop/skip/refresh decisions follow the one-at-a-time CELF heap step
         for step; only the *evaluations* are batched (see
-        :meth:`_speculate`).
+        :meth:`_speculate`).  On a pure heap, refreshes to 0 join the zero
+        tail, which is served in CELF order once ``_heap`` is exhausted.
         """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -255,13 +279,22 @@ class BatchedLazyGreedy:
                 del members[key]
                 return key, -entry[0]
             # Stale: commit a refresh exactly like a one-at-a-time heap would.
-            if pure and entry[0] == 0.0:
-                value = 0.0  # zero is a fixed point of a monotone marginal
-            else:
-                value = pending.get(key)
-                if value is None:
-                    value = self._speculate(key)
-            heappush(heap, (-value, self._next_counter, key, self._round))
-            self._next_counter += 1
+            value = pending.get(key)
+            if value is None:
+                value = self._speculate(key)
             members[key] = value
+            if pure and value == 0.0:
+                self._zeros.append(key)
+            else:
+                heappush(heap, (-value, self._next_counter, key, self._round))
+                self._next_counter += 1
+        # Only zeros are left: re-stamp the stale prefix behind the current
+        # zeros, then the front live key is the CELF pick.
+        zeros = self._zeros
+        zeros.rotate(-self._stale)
+        self._stale = 0
+        while zeros:
+            key = zeros.popleft()
+            if key in members:
+                return key, members.pop(key)
         return None

@@ -21,9 +21,12 @@ pruning is invisible in the results, and the invariants check that it
 happens.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reference.lazy_heap import LazyMarginalHeap
@@ -49,6 +52,7 @@ from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator
 from repro.runtime import ExecutionPolicy
+from repro.utils import lazy_heap
 from repro.utils.lazy_heap import BatchedLazyGreedy
 
 MODELS = [IndependentCascadeModel, WeightedCascadeModel, TrivalencyModel]
@@ -123,13 +127,18 @@ class _DecayingValues:
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
-@pytest.mark.parametrize("batch_size", [1, 4, 64])
-def test_batched_heap_pop_sequence_matches_scalar(seed, batch_size):
-    """Same pushes + same value decay ⇒ identical pop sequence, tie for tie."""
+@pytest.mark.parametrize(
+    "batch_size, pure",
+    [(1, False), (4, False), (64, False), (1, True), (4, True), (64, True)],
+    ids=["1", "4", "64", "1-pure", "4-pure", "64-pure"],
+)
+def test_batched_heap_pop_sequence_matches_scalar(seed, batch_size, pure):
+    """Same pushes + same value decay ⇒ identical pop sequence, tie for tie
+    (on a pure heap, zeros come out of the zero tail)."""
     keys = list(range(60))
     table = _DecayingValues(keys, seed)
     scalar = LazyMarginalHeap(table.scalar)
-    batched = BatchedLazyGreedy(table.batch, batch_size=batch_size)
+    batched = BatchedLazyGreedy(table.batch, batch_size=batch_size, pure=pure)
     scalar.push_many(keys)
     batched.push_array(np.asarray(keys, dtype=np.int64))
 
@@ -177,10 +186,117 @@ def test_discarding_dead_keys_keeps_the_pop_sequence(seed, batch_size):
     assert 0 < accepted < len(keys)
 
 
+@st.composite
+def _zero_heavy_scripts(draw):
+    """Initial values and a script of consumer steps, mostly over zeros."""
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+    steps = st.one_of(
+        st.tuples(st.just("accept"), st.lists(st.booleans(), min_size=1, max_size=8)),
+        st.tuples(st.just("reject"), st.none()),
+        st.tuples(st.just("push"), st.lists(values, min_size=1, max_size=12)),
+        st.tuples(st.just("discard"), st.lists(st.booleans(), min_size=1, max_size=8)),
+    )
+    initial = draw(st.lists(values, max_size=40))
+    return initial, draw(st.lists(steps, max_size=80)), draw(st.sampled_from([1, 2, 4, 64]))
+
+
+# Compacts a zero tail holding a stale prefix (keys 1-7, mostly discarded)
+# and a current zero (key 8, pushed this round), then serves it.
+_STALE_AND_CURRENT_ZEROS = (
+    [0.0] * 8,
+    [("accept", [False]), ("push", [0.0]), ("discard", [True] * 6 + [False] * 2),
+     ("reject", None)],
+    1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=_zero_heavy_scripts(), seed=st.integers(0, 2**16))
+@example(script=_STALE_AND_CURRENT_ZEROS, seed=0)
+def test_zero_tail_matches_the_scalar_heap(script, seed):
+    """A pure heap pops zeros in the reference heap's order under every
+    consumer move: accepted pops (values fall, round advances), rejected
+    pops (no round change), bulk pushes onto a live heap, zeros included,
+    and discards large enough to compact a queued zero tail."""
+    initial, steps, batch_size = script
+    values = dict(enumerate(initial))
+    rng = np.random.default_rng(seed)
+
+    def batch(keys):
+        return np.array([values[int(k)] for k in keys], dtype=np.float64)
+
+    reference = LazyMarginalHeap(values.__getitem__)
+    heap = BatchedLazyGreedy(batch, batch_size=batch_size, pure=True)
+    reference.push_many(list(values))
+    heap.push_array(np.arange(len(values), dtype=np.int64))
+    for step, argument in steps:
+        if step in ("accept", "reject"):
+            assert heap.pop_best() == reference.pop_best()
+        if step == "accept":
+            for key, falls in zip(list(values), argument * len(values)):
+                if falls:
+                    values[key] = max(0.0, values[key] - float(rng.integers(1, 3)))
+            heap.advance_round()
+            reference.advance_round()
+        elif step == "push":
+            fresh = list(range(len(values), len(values) + len(argument)))
+            values.update(zip(fresh, argument))
+            reference.push_many(fresh)
+            heap.push_array(np.asarray(fresh, dtype=np.int64))
+        elif step == "discard":
+            live = [key for key in values if key in reference]
+            dying = [key for key, dies in zip(live, argument * len(live)) if dies]
+            for key in dying:
+                reference.remove(key)
+            heap.discard(np.asarray(dying, dtype=np.int64))
+        assert len(heap) == len(reference)
+    while len(reference):
+        assert heap.pop_best() == reference.pop_best()
+    assert heap.pop_best() is None
+
+
+def _count_heap_operations(monkeypatch):
+    """Count the ``heappop``/``heappush`` calls the lazy heap makes."""
+    counts = {"heappop": 0, "heappush": 0}
+
+    def counted(name):
+        def call(*args):
+            counts[name] += 1
+            return getattr(heapq, name)(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        lazy_heap,
+        "heapq",
+        SimpleNamespace(
+            heapify=heapq.heapify,
+            heappop=counted("heappop"),
+            heappush=counted("heappush"),
+        ),
+    )
+    return counts
+
+
+def test_draining_zeros_is_linear(monkeypatch):
+    """A pure heap drains k zero keys, staled between pops, with O(k) heap
+    operations, not by re-stamping every remaining zero on each pop."""
+    k = 2000
+    counts = _count_heap_operations(monkeypatch)
+    heap = BatchedLazyGreedy(np.zeros_like, batch_size=64, pure=True)
+    heap.push_array(np.arange(k, dtype=np.int64))
+    order = []
+    while len(heap):
+        order.append(heap.pop_best())
+        heap.advance_round()
+    assert order == [(key, 0.0) for key in range(k)]
+    assert counts["heappop"] + counts["heappush"] <= 2 * k
+
+
 @pytest.mark.parametrize("pure", [True, False])
 def test_pure_heap_never_evaluates_a_zero(pure):
-    """On a pure heap a cached zero is final: it is re-committed without an
-    evaluation and never speculated.  An impure heap re-evaluates it."""
+    """On a pure heap a zero is final: it waits in the zero tail and is
+    never evaluated or speculated again.  An impure heap re-evaluates it."""
     keys = list(range(60))
     table = _DecayingValues(keys, seed=4)
     zero_evaluations = []
@@ -405,14 +521,18 @@ def test_fill_pops_only_what_it_accepts(graph, monkeypatch, count, from_threshol
         else Allocation(h)
     )
     traffic = _heap_traffic(monkeypatch)
+    heap_operations = _count_heap_operations(monkeypatch)
     for engine_oracle, pruned in ((oracle, True), (_Delegating(oracle), False)):
         traffic.update(pops=0, zero_evaluations=0)
+        heap_operations.update(heappop=0)
         result = fill(instance, engine_oracle, start)
         accepted = len(result.assigned_nodes()) - len(start.assigned_nodes())
         assert accepted > 0
         if pruned:
             assert traffic["pops"] == accepted
             assert traffic["zero_evaluations"] == 0
+            # Zeros wait in the zero tail instead of being re-stamped.
+            assert heap_operations["heappop"] <= 10 * traffic["pops"]
         else:
             assert traffic["pops"] > accepted
             assert traffic["zero_evaluations"] > 0
