@@ -58,10 +58,16 @@ from repro.rrsets.store import RRStore
 from repro.runtime import (
     ExecutionPolicy,
     FailurePolicy,
-    MAINTENANCE_MODES,
     PAYLOAD_MODES,
     POLICY_PRESETS,
     Runtime,
+)
+
+
+#: ``--jobs`` help of the store-backed sub-commands (``refresh``, ``serve``).
+_JOBS_HELP = (
+    "worker processes for drawing the store's RR-sets; a draw or redraw of "
+    "fewer than 256 RR-sets runs in-process, whatever N is"
 )
 
 
@@ -123,15 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for generation and maintenance re-draws",
+        help=_JOBS_HELP,
     )
-    refresh.add_argument(
-        "--maintenance",
-        default=None,
-        choices=sorted(MAINTENANCE_MODES),
-        help="where invalidation re-draws run: 'pool' (default) or 'inline'; "
-        "bit-identical either way",
-    )
+    refresh.add_argument("--maintenance", default=None, help=argparse.SUPPRESS)
     refresh.add_argument(
         "--payload",
         default=None,
@@ -164,14 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for generation and maintenance re-draws",
+        help=_JOBS_HELP,
     )
-    serve.add_argument(
-        "--maintenance",
-        default=None,
-        choices=sorted(MAINTENANCE_MODES),
-        help="where invalidation re-draws run: 'pool' (default) or 'inline'",
-    )
+    serve.add_argument("--maintenance", default=None, help=argparse.SUPPRESS)
     serve.add_argument(
         "--payload",
         default=None,
@@ -312,15 +307,22 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _policy_flag_conflict(args: argparse.Namespace) -> Optional[str]:
-    """The retired per-engine-flag error message, or ``None``.
+    """The retired-flag error message, or ``None``.
 
     ``--subsim`` / ``--batched-greedy`` / ``--fast`` are gone; ``--policy``
     is the only engine-selection channel (and ``fast`` is already the
-    default).  The flags are still parsed (hidden) so users get a pointed
-    message instead of argparse's generic "unrecognized arguments".
-    ``main`` reports this through ``parser.error`` (usage text, exit
-    code 2).
+    default).  ``--maintenance`` is gone too: where a store redraw runs
+    follows from its size.  The flags are still parsed (hidden) so users
+    get a pointed message instead of argparse's generic "unrecognized
+    arguments".  ``main`` reports this through ``parser.error`` (usage
+    text, exit code 2).
     """
+    if getattr(args, "maintenance", None) is not None:
+        return (
+            "--maintenance has been removed; a store redraw of fewer than "
+            "256 RR-sets runs in-process and a larger one on the worker "
+            "pool, bit-identically — use --jobs N to size the pool"
+        )
     retired = [
         flag
         for flag, set_ in (
@@ -600,8 +602,6 @@ def command_refresh(args: argparse.Namespace) -> int:
     )
     if args.jobs is not None:
         policy = policy.evolve(n_jobs=args.jobs)
-    if args.maintenance is not None:
-        policy = policy.evolve(maintenance=args.maintenance)
     if args.payload is not None:
         policy = policy.evolve(payload=args.payload)
     print(f"effective policy: {policy.describe()}")
@@ -660,8 +660,6 @@ def command_serve(args: argparse.Namespace) -> int:
     )
     if args.jobs is not None:
         policy = policy.evolve(n_jobs=args.jobs)
-    if args.maintenance is not None:
-        policy = policy.evolve(maintenance=args.maintenance)
     if args.payload is not None:
         policy = policy.evolve(payload=args.payload)
     service = ServicePolicy(

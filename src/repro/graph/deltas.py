@@ -13,8 +13,10 @@ reason about *what changed* instead of diffing graphs.
 The snapshot is kept as arrays — sorted packed edge keys, an ``(h, m)``
 probability matrix and the CSR graph itself — and a batch is validated
 against a per-batch overlay of the edges it touches, then committed with
-vectorized array edits.  The cost of a batch is a few O(m) array copies,
-not a Python walk over the edge set.
+vectorized array edits.  The in-CSR is patched at the positions the batch
+touches (:class:`InEdgeEdit`) instead of being re-sorted, so the cost of a
+batch is a few O(m) array copies, not a sort or a Python walk over the edge
+set.
 
 The dirty-region contract
 -------------------------
@@ -46,7 +48,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -132,6 +134,28 @@ class RemoveNode:
 GraphDelta = Union[AddEdge, RemoveEdge, UpdateProbability, AddNode, RemoveNode]
 
 
+class InEdgeEdit(NamedTuple):
+    """How one batch changed the snapshot's in-CSR, by position.
+
+    An array aligned with the old in-CSR (one entry per in-edge position) is
+    aligned with the new one by :meth:`splice` — ``deleted`` entries
+    dropped, a zero opened at every ``inserted`` position — after which the
+    caller fills the inserted positions; the entries at ``updated`` are
+    edges whose probabilities were rewritten.
+    """
+
+    deleted: np.ndarray  #: old in-positions of the removed edges, ascending
+    inserted: np.ndarray  #: new in-positions of the added edges, ascending
+    updated: np.ndarray  #: new in-positions of the rewritten edges, ascending
+
+    def splice(self, array: np.ndarray) -> np.ndarray:
+        """A copy of ``array`` (last axis aligned with the old in-CSR)
+        aligned with the new one; the inserted positions hold zeros."""
+        return _splice(
+            array, self.deleted, self.inserted - np.arange(self.inserted.size)
+        )
+
+
 @dataclass(frozen=True)
 class DeltaEffect:
     """What one applied batch dirtied — the invalidation input of consumers.
@@ -153,6 +177,9 @@ class DeltaEffect:
     num_nodes_changed:
         ``True`` when the batch grew the node id space (``AddNode``) —
         a global delta for consumers whose draws depend on ``num_nodes``.
+    in_edit:
+        The batch's :class:`InEdgeEdit`, so that a consumer holding arrays
+        aligned with the in-CSR can patch them instead of rebuilding.
     """
 
     epoch: int
@@ -160,6 +187,7 @@ class DeltaEffect:
     dirty_nodes: np.ndarray
     dirty_nodes_by_advertiser: Mapping[int, np.ndarray] = field(default_factory=dict)
     num_nodes_changed: bool = False
+    in_edit: Optional[InEdgeEdit] = None
 
     @property
     def is_global(self) -> bool:
@@ -398,7 +426,8 @@ class MutableGraphView:
             else:
                 raise GraphError(f"unknown delta type: {type(delta).__name__}")
 
-        self._commit(*self._patched(num_nodes, overlay))
+        graph, keys, matrix, edit = self._patched(num_nodes, overlay)
+        self._commit(graph, keys, matrix)
         self._epoch += 1
 
         def frozen(nodes: Set[int]) -> np.ndarray:
@@ -417,19 +446,22 @@ class MutableGraphView:
                 for advertiser, nodes in sorted(dirty_by_advertiser.items())
             },
             num_nodes_changed=nodes_changed,
+            in_edit=edit,
         )
 
     def _patched(
         self, num_nodes: int, overlay: Mapping[Tuple[int, int], Optional[np.ndarray]]
-    ) -> Tuple[CSRDiGraph, np.ndarray, np.ndarray]:
+    ) -> Tuple[CSRDiGraph, np.ndarray, np.ndarray, InEdgeEdit]:
         """The snapshot with a batch's overlay folded in, as new arrays.
 
-        Overlaid snapshot edges are updated in place in a copy of the matrix
-        or masked out when deleted; new edges are sorted and inserted at
-        their ``searchsorted`` positions, so the keys stay in canonical
-        order and the graph skips the constructor's dedup and lexsort.
+        Deleted snapshot edges are spliced out of the keys and the matrix,
+        new edges are spliced in at their ``searchsorted`` positions (so the
+        keys stay in canonical order) and rewritten edges are overwritten,
+        in one copy of each array.  The graph is patched the same way
+        (:func:`_patched_graph`).
         """
         keys, matrix = self._keys, self._matrix
+        deleted = added = at = updated = _EMPTY_NODES
         if overlay:
             touched = np.array([(u << _SHIFT) | v for u, v in overlay], dtype=np.int64)
             vectors = list(overlay.values())
@@ -437,28 +469,30 @@ class MutableGraphView:
             columns = np.searchsorted(keys, touched)
             known = columns < keys.size
             known[known] = keys[columns[known]] == touched[known]
-            updated, deleted, added = known & live, known & ~live, ~known & live
+            is_updated, is_deleted, is_added = known & live, known & ~live, ~known & live
 
             def stacked(mask: np.ndarray) -> np.ndarray:
                 return np.stack([vectors[i] for i in np.flatnonzero(mask)], axis=1)
 
-            if updated.any():
-                matrix = matrix.copy()
-                matrix[:, columns[updated]] = stacked(updated)
-            if deleted.any():
-                keep = np.ones(keys.size, dtype=bool)
-                keep[columns[deleted]] = False
-                keys, matrix = keys[keep], matrix[:, keep]
-            if added.any():
-                order = np.argsort(touched[added])
-                new_keys = touched[added][order]
-                at = np.searchsorted(keys, new_keys)
-                keys = np.insert(keys, at, new_keys)
-                matrix = np.insert(matrix, at, stacked(added)[:, order], axis=1)
-        graph = CSRDiGraph.from_sorted_edges(
-            num_nodes, keys >> _SHIFT, keys & _TARGET_MASK
+            deleted = np.sort(columns[is_deleted])
+            order = np.argsort(touched[is_added])
+            added = touched[is_added][order]
+            # Insert positions into the keys left after the deletion.
+            at = columns[is_added][order]
+            at -= np.searchsorted(deleted, at)
+            updated = touched[is_updated]
+            keys = _splice(keys, deleted, at)
+            matrix = _splice(matrix, deleted, at)
+            if added.size:
+                inserted = at + np.arange(added.size)
+                keys[inserted] = added
+                matrix[:, inserted] = stacked(is_added)[:, order]
+            if updated.size:
+                matrix[:, _renumbered(columns[is_updated], deleted, at)] = stacked(is_updated)
+        graph, edit = _patched_graph(
+            self._graph, num_nodes, keys, deleted, added, at, updated
         )
-        return graph, keys, matrix
+        return graph, keys, matrix, edit
 
     def __repr__(self) -> str:
         return (
@@ -466,3 +500,125 @@ class MutableGraphView:
             f"num_edges={self.num_edges}, h={self._num_advertisers}, "
             f"epoch={self._epoch})"
         )
+
+
+# ---------------------------------------------------------------------- #
+# CSR patching
+# ---------------------------------------------------------------------- #
+def _splice(array: np.ndarray, deleted: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``np.insert(np.delete(array, deleted, -1), at, 0, -1)`` in one copy.
+
+    Along the last axis, the entries at the ascending positions ``deleted``
+    are dropped and a zero is opened before each position ``at``
+    (non-decreasing, counted after the drop).  The runs in between are
+    copied as slices, one per run.
+    """
+    size = array.shape[-1] - deleted.size
+    out = np.empty(array.shape[:-1] + (size + at.size,), dtype=array.dtype)
+    gaps = deleted - np.arange(deleted.size)
+    cuts = np.unique(np.concatenate(([0, size], gaps, at)))
+    # Per run start: entries dropped before it, and zeros opened before it.
+    dropped = np.searchsorted(gaps, cuts, side="right").tolist()
+    opened = np.searchsorted(at, cuts, side="right").tolist()
+    cuts = cuts.tolist()
+    for lo, hi, skip, shift in zip(cuts, cuts[1:], dropped, opened):
+        out[..., lo + shift:hi + shift] = array[..., lo + skip:hi + skip]
+    out[..., at + np.arange(at.size)] = 0
+    return out
+
+
+def _renumbered(columns: np.ndarray, deleted: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Where surviving canonical ``columns`` land after :func:`_splice`."""
+    columns = columns - np.searchsorted(deleted, columns)
+    return columns + np.searchsorted(at, columns, side="right")
+
+
+def _block_lower_bounds(
+    offsets: np.ndarray, values: np.ndarray, blocks: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """First position in CSR block ``blocks[i]`` whose value is ``>= queries[i]``.
+
+    Every block ``values[offsets[b]:offsets[b + 1]]`` is ascending; all
+    queries are bisected together, one vectorized step per halving.
+    """
+    lo = offsets[blocks]
+    hi = offsets[blocks + 1]
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) >> 1
+        below = open_ & (values[np.where(open_, mid, 0)] < queries)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+
+def _patched_offsets(
+    offsets: np.ndarray, num_nodes: int, added: np.ndarray, removed: np.ndarray
+) -> np.ndarray:
+    """CSR offsets over ``num_nodes`` blocks after adding and removing entries
+    whose block ids are ``added`` and ``removed``."""
+    grow = num_nodes + 1 - offsets.size
+    if grow == 0 and added.size == 0 and removed.size == 0:
+        return offsets
+    patched = np.concatenate((offsets, np.full(grow, offsets[-1], dtype=np.int64)))
+    counts = np.bincount(added, minlength=num_nodes) - np.bincount(removed, minlength=num_nodes)
+    patched[1:] += np.cumsum(counts)
+    return patched
+
+
+def _patched_graph(
+    graph: CSRDiGraph,
+    num_nodes: int,
+    keys: np.ndarray,
+    deleted: np.ndarray,
+    added: np.ndarray,
+    at: np.ndarray,
+    updated: np.ndarray,
+) -> Tuple[CSRDiGraph, InEdgeEdit]:
+    """``graph`` after one batch, without re-sorting its in-CSR.
+
+    ``keys`` are the new canonical edge keys; ``deleted`` the old canonical
+    columns removed, ``added`` the inserted keys (ascending) and ``at``
+    their insert positions into the keys left after deletion; ``updated``
+    the keys of rewritten edges.  The in-CSR (ordered by target, then
+    source) loses the deleted edges and gains the added ones at bisected
+    block positions, and its canonical edge ids are renumbered — the same
+    three arrays an argsort of all targets would give.
+    """
+    offsets, in_sources, in_ids = graph.in_csr()
+    offsets = _patched_offsets(offsets, num_nodes, _EMPTY_NODES, _EMPTY_NODES)
+    removed_sources, removed_targets = graph.sources[deleted], graph.targets[deleted]
+    added_sources, added_targets = added >> _SHIFT, added & _TARGET_MASK
+    dropped = np.sort(
+        _block_lower_bounds(offsets, in_sources, removed_targets, removed_sources)
+    )
+    # In-CSR order of the added edges, and their positions after the drop.
+    order = np.lexsort((added_sources, added_targets))
+    places = _block_lower_bounds(
+        offsets, in_sources, added_targets[order], added_sources[order]
+    )
+    places -= np.searchsorted(dropped, places)
+    edit = InEdgeEdit(dropped, places + np.arange(added.size), _EMPTY_NODES)
+    if dropped.size or added.size:
+        in_sources = edit.splice(in_sources)
+        in_sources[edit.inserted] = added_sources[order]
+        in_ids = _renumbered(edit.splice(in_ids), deleted, at)
+        in_ids[edit.inserted] = (at + np.arange(added.size))[order]
+    offsets = _patched_offsets(offsets, num_nodes, added_targets, removed_targets)
+    sources, targets = keys >> _SHIFT, keys & _TARGET_MASK
+    patched = CSRDiGraph.from_parts(
+        num_nodes,
+        sources,
+        targets,
+        _patched_offsets(graph.out_offsets, num_nodes, added_sources, removed_sources),
+        targets,
+        np.arange(keys.size, dtype=np.int64),
+        offsets,
+        in_sources,
+        in_ids,
+    )
+    rewritten = _block_lower_bounds(
+        offsets, in_sources, updated & _TARGET_MASK, updated >> _SHIFT
+    )
+    return patched, edit._replace(updated=np.sort(rewritten))

@@ -117,7 +117,9 @@ class CSRDiGraph:
         The reconstruction path of :mod:`repro.graph.storage`: the arrays are
         typically read-only views over one packed shared-memory segment or
         memory-mapped file, so attaching a million-node graph in a worker
-        costs microseconds and no RSS.  All arrays are marked read-only.
+        costs microseconds and no RSS.  :class:`~repro.graph.deltas.MutableGraphView`
+        adopts its patched snapshots the same way.  All arrays are marked
+        read-only.
         """
         graph = cls.__new__(cls)
         graph._num_nodes = int(num_nodes)

@@ -7,9 +7,11 @@ Two shard workers back the RR consumers:
   :meth:`repro.rrsets.uniform.UniformRRSampler.generate_collection`, the
   ``fast()`` TI pool fill behind
   :meth:`repro.rrsets.generator.RRSetGenerator.generate_batch_parallel`
-  and :class:`repro.rrsets.store.RRStore`.  A slot range or array is cut
-  into contiguous pieces, one per shard; since no slot depends on another,
-  the merged result is the same for every shard layout.
+  and :class:`repro.rrsets.store.RRStore`.  A call of fewer than
+  :data:`_INLINE_SLOTS` slots is drawn in-process as one piece; a larger
+  slot range or array is cut into contiguous pieces, one per shard.  Since
+  no slot depends on another, the merged result is the same either way and
+  for every shard layout.
 * :func:`run_generation_shards` is the per-set stream path of
   ``generate_batch_parallel`` under ``seed(n_jobs>1)``: each shard draws
   from its own :func:`spawn_rngs` substream, so a fixed ``(seed, n_jobs)``
@@ -33,7 +35,7 @@ critical-path scaling on hosts with fewer physical cores than workers.
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional, Type
+from typing import Any, Callable, List, NamedTuple, Optional, Type
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from repro.parallel.executor import (
     shard_counts,
 )
 from repro.rrsets.collection import split_by_sizes
+from repro.rrsets.slots import slot_engine
 from repro.utils.rng import RandomSource, spawn_rngs
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -138,6 +141,12 @@ def generate_batch_sharded(
 
 
 
+#: Slot calls below this many slots are drawn in-process: a pool round trip
+#: (dispatch, payload broadcast, result pickling) costs more than drawing
+#: them.  RMA's and TI-CARM's calls are larger; store redraws mostly are not.
+_INLINE_SLOTS = 256
+
+
 class SlotShard(NamedTuple):
     """Flat result of one slot-drawing shard (see :mod:`repro.rrsets.slots`)."""
 
@@ -153,8 +162,6 @@ def _draw_slots_shard(payload, shard) -> SlotShard:
     generator_cls, graph, probabilities, weights = payload
     entropy, slots = shard
     started = time.process_time()
-    from repro.rrsets.slots import slot_engine
-
     cache = current_worker_cache()
     if cache is None:
         engine = slot_engine(generator_cls, graph, probabilities, weights)
@@ -176,20 +183,34 @@ def run_slot_shards(
     entropy: int,
     slots,
     executor: ShardedExecutor,
+    engine: Optional[Callable[[], Any]] = None,
 ) -> List[SlotShard]:
     """Draw RR-set slots across the executor's shards, in slot order.
 
-    ``slots`` is a ``(lo, hi)`` range or an explicit slot array; it is cut
-    into contiguous pieces by :func:`~repro.parallel.executor.shard_counts`.
-    Every slot is a pure function of ``(entropy, slot)``
-    (:mod:`repro.rrsets.slots`), so the shard layout — and with it
-    ``n_jobs``, ``REPRO_MAX_JOBS``, pool reuse and crash recovery — never
-    changes the merged result.  ``generator_cls=None`` selects the hashed
-    engine; ``probabilities`` is one array (a single advertiser, every tag
-    0) or a list with one array per advertiser.  Keep the caller's array and
-    list objects across calls: persistent pools cache broadcast payloads by
-    element identity.
+    ``slots`` is a ``(lo, hi)`` range or an explicit slot array.  A call of
+    fewer than :data:`_INLINE_SLOTS` slots is drawn in-process as one piece,
+    on the engine ``engine()`` returns when the caller keeps one for these
+    arguments, else on a fresh one.  A larger call is cut into contiguous
+    pieces by :func:`~repro.parallel.executor.shard_counts` and run on the
+    executor.  Every slot is a pure function of ``(entropy, slot)``
+    (:mod:`repro.rrsets.slots`), so neither that choice nor the shard
+    layout — and with it ``n_jobs``, ``REPRO_MAX_JOBS``, pool reuse and
+    crash recovery — ever changes the merged result.
+    ``generator_cls=None`` selects the hashed engine; ``probabilities`` is
+    one array (a single advertiser, every tag 0) or a list with one array
+    per advertiser.  Keep the caller's array and list objects across calls:
+    persistent pools cache broadcast payloads by element identity.
     """
+    count = slots[1] - slots[0] if isinstance(slots, tuple) else int(slots.size)
+    if 0 < count < _INLINE_SLOTS:
+        started = time.process_time()
+        local = (
+            engine()
+            if engine is not None
+            else slot_engine(generator_cls, graph, probabilities, weights)
+        )
+        drawn = local.draw(entropy, slots)
+        return [SlotShard(*drawn, time.process_time() - started)]
     if isinstance(slots, tuple):
         lo, hi = slots
         counts = shard_counts(hi - lo, executor.n_jobs)

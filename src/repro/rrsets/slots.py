@@ -35,6 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 import numpy as np
 
 from repro.exceptions import SamplingError
+from repro.graph.deltas import InEdgeEdit
 from repro.graph.digraph import CSRDiGraph
 from repro.rrsets.generator import RRSetGenerator
 
@@ -129,6 +130,22 @@ def _reserved_uniforms(slot_hash: np.ndarray, key: int) -> np.ndarray:
     return bits.astype(np.float64) * _UNIT53
 
 
+def _in_key_hashes(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Key hashes of in-edges ``sources[i] -> targets[i]``."""
+    return key_hashes(
+        (sources.astype(np.uint64) << np.uint64(32)) | targets.astype(np.uint64)
+    )
+
+
+def _thresholds(rows: np.ndarray) -> np.ndarray:
+    """Integer coin thresholds of probabilities ``rows``.
+
+    Live iff coin < p, with the coin a 53-bit integer u: u·2^-53 < p
+    <=> u < ceil(p·2^53), exactly, and p = 1 always passes.
+    """
+    return np.ceil(rows * float(1 << 53)).astype(np.uint64)
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """``np.unique`` by sort and neighbour compare (no hashing pass)."""
     keys.sort()
@@ -145,6 +162,12 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 class HashedRRSampler:
     """Hashed live-edge RR-sets, traversed level-synchronously per batch.
+
+    The engine holds per-in-edge arrays aligned with the graph's in-CSR: a
+    key hash and one coin threshold per advertiser.  Building them costs
+    O(h·m); :meth:`advance` follows a delta batch at the cost of the
+    positions it touched instead, which is how
+    :class:`~repro.rrsets.store.RRStore` keeps one engine across rounds.
 
     Parameters
     ----------
@@ -180,22 +203,51 @@ class HashedRRSampler:
         if not rows:
             raise SamplingError("at least one advertiser is required")
         self._h = len(rows)
-        self._n = graph.num_nodes
-        self._m = m
-        self._offsets = offsets
-        self._sources = sources
-        self._degrees = np.diff(offsets)
+        self._adopt(graph)
         targets = np.repeat(np.arange(self._n, dtype=np.int64), self._degrees)
-        self._key_hashes = key_hashes(
-            (sources.astype(np.uint64) << np.uint64(32)) | targets.astype(np.uint64)
-        )
-        # Live iff coin < p, with the coin a 53-bit integer u: u·2^-53 < p
-        # <=> u < ceil(p·2^53), exactly, and p = 1 always passes.
-        self._thresholds = np.ceil(np.stack(rows) * float(1 << 53)).astype(np.uint64).ravel()
+        self._key_hashes = _in_key_hashes(sources, targets)
+        self._thresholds = _thresholds(np.stack(rows)).ravel()
         if weights is None or self._h == 1:
             self._cumulative = None
         else:
             self._cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
+
+    def _adopt(self, graph: CSRDiGraph) -> None:
+        """Point the engine at ``graph``'s in-CSR."""
+        self._n = graph.num_nodes
+        self._m = graph.num_edges
+        self._offsets, self._sources, _ = graph.in_csr()
+        self._degrees = np.diff(self._offsets)
+
+    def advance(
+        self,
+        graph: CSRDiGraph,
+        probabilities: Sequence[np.ndarray],
+        edit: InEdgeEdit,
+    ) -> None:
+        """Follow the snapshot ``graph`` that ``edit`` turned this one into.
+
+        The per-in-edge key hashes and threshold rows are spliced by the
+        ``edit`` (:meth:`~repro.graph.deltas.InEdgeEdit.splice`); inserted
+        and rewritten positions take their thresholds from
+        ``probabilities`` (the new snapshot's, one array per advertiser).
+        The result equals an engine built on ``graph`` from scratch, at the
+        cost of the positions the batch touched plus one copy of each
+        array.
+        """
+        offsets, sources, edge_ids = graph.in_csr()
+        inserted = edit.inserted
+        targets = np.searchsorted(offsets, inserted, side="right") - 1
+        self._key_hashes = edit.splice(self._key_hashes)
+        self._key_hashes[inserted] = _in_key_hashes(sources[inserted], targets)
+        thresholds = edit.splice(self._thresholds.reshape(self._h, self._m))
+        changed = np.concatenate((inserted, edit.updated))
+        columns = edge_ids[changed]
+        thresholds[:, changed] = _thresholds(
+            np.stack([np.asarray(array, dtype=np.float64)[columns] for array in probabilities])
+        )
+        self._thresholds = thresholds.ravel()
+        self._adopt(graph)
 
     def draw(self, entropy: int, slots: SlotRange) -> SlotDraw:
         """Draw ``slots`` under ``entropy``; results are in slot order.

@@ -38,11 +38,16 @@ space changed — is conservative but sound; the delta-fuzzing suite
 (``tests/test_rr_store_incremental.py``) pins the equivalence over random
 delta scripts and the redraw counter proves locality.
 
-Maintenance execution is governed by ``ExecutionPolicy.maintenance``:
-``"pool"`` (the default) shards redraws across the persistent worker pool of
-the ambient/passed :class:`~repro.runtime.Runtime` when ``n_jobs`` allows,
-``"inline"`` forces in-process redraws — bit-identical either way, exactly
-because slots are pure functions of their index.
+A round costs what its batch touches.  The view patches its snapshot's
+in-CSR at the batch's positions; the store advances its own hashed slot
+engine by the same edit (:meth:`~repro.rrsets.slots.HashedRRSampler.advance`)
+instead of rebuilding it; and a redraw of fewer than 256 slots runs
+in-process on that engine, while a larger one (a whole-store redraw after
+``AddNode``, a large ``generate``) is sharded across the worker pool of the
+passed or ambient :class:`~repro.runtime.Runtime`
+(:func:`~repro.parallel.rr.run_slot_shards` makes that call).  Where a slot
+is drawn never changes it, exactly because slots are pure functions of their
+index.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from repro.graph.deltas import DeltaEffect, GraphDelta, MutableGraphView
 from repro.rrsets.collection import RRCollection, split_by_sizes
 from repro.rrsets.estimators import estimate_total_revenue
 from repro.rrsets.generator import RRSetGenerator
+from repro.rrsets.slots import HashedRRSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import ExecutionPolicy, Runtime
@@ -112,9 +118,8 @@ class RRStore:
     policy:
         :class:`~repro.runtime.ExecutionPolicy` supplying the RR engine
         (``rr_engine``: hashed slots under ``"subsim"``, per-slot substreams
-        of the legacy generator otherwise), the ``n_jobs`` shard count and
-        the ``maintenance`` execution mode.  ``None`` resolves to
-        ``ExecutionPolicy.fast()``.
+        of the legacy generator otherwise) and the ``n_jobs`` shard count.
+        ``None`` resolves to ``ExecutionPolicy.fast()``.
     runtime:
         Optional :class:`~repro.runtime.Runtime` whose persistent pool the
         sharded generation/maintenance paths run on (falls back to the
@@ -150,10 +155,16 @@ class RRStore:
             None if self._policy.rr_engine == "subsim" else RRSetGenerator
         )
         self._members: List[np.ndarray] = []
+        #: Per-slot member counts, aligned with ``_members``.
+        self._sizes = _EMPTY
         self._tags: List[int] = []
         self._roots: List[int] = []
         self._collection: Optional[RRCollection] = None
         self._payload_probabilities: Optional[List[np.ndarray]] = None
+        #: The parent-side hashed engine for ``_engine_graph``, built on the
+        #: first in-process draw and advanced with every batch after that.
+        self._engine: Optional[HashedRRSampler] = None
+        self._engine_graph = None
         self._synced_epoch = view.epoch
         self._redraws_total = 0
         self._epochs_absorbed = 0
@@ -207,16 +218,12 @@ class RRStore:
         """The current tagged collection (rebuilt lazily after maintenance)."""
         self._check_sync()
         if self._collection is None:
-            count = len(self._members)
-            sizes = np.fromiter(
-                (m.size for m in self._members), dtype=np.int64, count=count
-            )
-            flat = np.concatenate(self._members) if count else _EMPTY
+            flat = np.concatenate(self._members) if self._members else _EMPTY
             tags = np.asarray(self._tags, dtype=np.int64)
             self._collection = RRCollection.from_shards(
                 self._view.num_nodes,
                 self._view.num_advertisers,
-                [(flat, sizes, tags)],
+                [(flat, self._sizes, tags)],
             )
         return self._collection
 
@@ -256,12 +263,14 @@ class RRStore:
             self._members.append(members)
             self._tags.append(tag)
             self._roots.append(root)
+        self._sizes = np.concatenate(
+            (self._sizes, [members.size for members, _, _ in drawn])
+        )
         self._collection = None
 
     def _draw_slots(self, slots) -> List[Tuple[np.ndarray, int, int]]:
         """Draw the given slots (a ``(lo, hi)`` range or an index array),
-        sharding across the pool when allowed."""
-        n_jobs = self._policy.n_jobs if self._policy.maintenance == "pool" else 1
+        in-process or sharded across the pool (see the module docstring)."""
         if self._payload_probabilities is None:
             self._payload_probabilities = self._view.advertiser_edge_probabilities
         from repro.parallel.rr import run_slot_shards
@@ -274,7 +283,8 @@ class RRStore:
             self._weights,
             self._entropy,
             slots,
-            acquire_executor(n_jobs, self._runtime),
+            acquire_executor(self._policy.n_jobs, self._runtime),
+            engine=self._hashed_engine if self._generator_cls is None else None,
         )
         drawn: List[Tuple[np.ndarray, int, int]] = []
         for shard in shards:
@@ -287,6 +297,17 @@ class RRStore:
                 # would keep the whole buffer alive as long as the slot does.
                 drawn.append((members.copy(), tag, root))
         return drawn
+
+    def _hashed_engine(self) -> HashedRRSampler:
+        """The hashed engine for the current snapshot, built from scratch
+        only when the store holds none for it."""
+        graph = self._view.graph
+        if self._engine_graph is not graph:
+            self._engine = HashedRRSampler(
+                graph, self._view.advertiser_edge_probabilities, self._weights
+            )
+            self._engine_graph = graph
+        return self._engine
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -312,6 +333,11 @@ class RRStore:
         self._check_sync()
         effect = self._view.apply(deltas)
         self._payload_probabilities = None  # graph snapshot changed
+        if self._engine is not None:
+            self._engine.advance(
+                self._view.graph, self._view.advertiser_edge_probabilities, effect.in_edit
+            )
+            self._engine_graph = self._view.graph
         total = len(self._members)
         stale, reason = (
             self._stale_slots(effect) if total else (_EMPTY, "clean")
@@ -363,6 +389,8 @@ class RRStore:
             self._tags[slot] = tag
             self._roots[slot] = root
             replacements[slot] = (members, tag)
+        self._sizes = self._sizes.copy()  # a cached collection may share it
+        self._sizes[stale] = [members.size for members, _, _ in drawn]
         if effect.num_nodes_changed or self._collection is None:
             # Node-space changes alter the collection's (h, n) shape — the
             # cached view cannot be compacted in place.
@@ -394,10 +422,9 @@ class RRStore:
         ):
             return _EMPTY, "clean"
         # Signature intersection, vectorized over the flat member layout.
-        sizes = np.fromiter((m.size for m in self._members), dtype=np.int64, count=total)
         flat = np.concatenate(self._members)
         starts = np.zeros(total, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
+        np.cumsum(self._sizes[:-1], out=starts[1:])
         n = self._view.num_nodes
         tags = np.asarray(self._tags, dtype=np.int64)
         stale_mask = np.zeros(total, dtype=bool)
@@ -427,14 +454,10 @@ class RRStore:
         bit-identically via :meth:`from_slots`.
         """
         self._check_sync()
-        count = len(self._members)
-        sizes = np.fromiter(
-            (m.size for m in self._members), dtype=np.int64, count=count
-        )
-        flat = np.concatenate(self._members) if count else _EMPTY.copy()
+        flat = np.concatenate(self._members) if self._members else _EMPTY.copy()
         tags = np.asarray(self._tags, dtype=np.int64)
         roots = np.asarray(self._roots, dtype=np.int64)
-        return flat, sizes, tags, roots
+        return flat, self._sizes.copy(), tags, roots
 
     @classmethod
     def from_slots(
@@ -483,6 +506,7 @@ class RRStore:
         store = cls(view, cpes, seed=seed, policy=policy, runtime=runtime)
         # Copies, not views: a slot must not keep the whole payload alive.
         store._members = [chunk.copy() for chunk in split_by_sizes(members, sizes)]
+        store._sizes = sizes.copy()
         store._tags = [int(tag) for tag in tags]
         store._roots = [int(root) for root in roots]
         return store

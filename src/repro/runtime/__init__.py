@@ -25,7 +25,6 @@ resolves to :meth:`ExecutionPolicy.fast` via :func:`resolve_policy`.
 from repro.parallel.failure import FailurePolicy, RecoveryStats
 from repro.runtime.policy import (
     ExecutionPolicy,
-    MAINTENANCE_MODES,
     PAYLOAD_MODES,
     POLICY_PRESETS,
     resolve_policy,
@@ -35,7 +34,6 @@ from repro.runtime.runtime import Runtime, acquire_executor, current_runtime
 __all__ = [
     "ExecutionPolicy",
     "FailurePolicy",
-    "MAINTENANCE_MODES",
     "PAYLOAD_MODES",
     "POLICY_PRESETS",
     "RecoveryStats",

@@ -41,14 +41,6 @@ from repro.parallel.failure import DEFAULT_FAILURE_POLICY, FailurePolicy
 RR_ENGINES = ("legacy", "subsim")
 MC_ENGINES = ("legacy", "batched")
 
-#: Execution modes for incremental RR-store maintenance
-#: (:meth:`repro.rrsets.store.RRStore.apply_deltas`): ``"pool"`` shards
-#: invalidation re-draws across the persistent worker pool whenever
-#: ``n_jobs`` allows, ``"inline"`` keeps them in-process.  Never influences
-#: results — store slots are pure functions of their index, so both modes
-#: are bit-identical (and neither participates in ``rng_compat``).
-MAINTENANCE_MODES = ("pool", "inline")
-
 #: Sentinel distinguishing "not passed" from an explicit value in
 #: :meth:`ExecutionPolicy.evolve`.
 _UNSET = object()
@@ -94,13 +86,6 @@ class ExecutionPolicy:
         then in-process serial execution).  Never influences results — the
         determinism contract makes recovered runs bit-identical — so it does
         not participate in ``rng_compat``.
-    maintenance:
-        How :class:`~repro.rrsets.store.RRStore` executes invalidation
-        re-draws when absorbing graph deltas: ``"pool"`` (default) shards
-        them across the persistent worker pool when ``n_jobs`` allows,
-        ``"inline"`` keeps them in-process.  Bit-identical either way —
-        store slots are pure functions of their index — so it never
-        participates in ``rng_compat``.
     payload:
         How worker broadcasts transport the payload (graph + probability
         arrays): ``"auto"`` (default — one ``multiprocessing.shared_memory``
@@ -118,7 +103,6 @@ class ExecutionPolicy:
     mc_batch_size: Optional[int] = None
     rng_compat: Optional[bool] = None
     failure: FailurePolicy = DEFAULT_FAILURE_POLICY
-    maintenance: str = "pool"
     payload: str = "auto"
 
     def __post_init__(self) -> None:
@@ -138,11 +122,6 @@ class ExecutionPolicy:
         if not isinstance(self.failure, FailurePolicy):
             raise PolicyError(
                 f"failure must be a FailurePolicy, got {type(self.failure).__name__}"
-            )
-        if self.maintenance not in MAINTENANCE_MODES:
-            raise PolicyError(
-                f"maintenance must be one of {MAINTENANCE_MODES}, "
-                f"got {self.maintenance!r}"
             )
         if self.payload not in PAYLOAD_MODES:
             raise PolicyError(
@@ -241,12 +220,10 @@ class ExecutionPolicy:
             if self.failure == DEFAULT_FAILURE_POLICY
             else f" failure={self.failure.describe()}"
         )
-        upkeep = "" if self.maintenance == "pool" else f" maintenance={self.maintenance}"
         transport = "" if self.payload == "auto" else f" payload={self.payload}"
         return (
             f"{name}rr={self.rr_engine} mc={self.mc_engine} n_jobs={jobs}{batch} "
-            f"rng_compat={'yes' if self.rng_compat else 'no'}{fail}{upkeep}"
-            f"{transport}"
+            f"rng_compat={'yes' if self.rng_compat else 'no'}{fail}{transport}"
         )
 
 

@@ -2,12 +2,13 @@
 
 All transports speak the same line protocol (:mod:`repro.serve.protocol`)
 and share one shape: a reader thread pumps request lines into
-:meth:`~repro.serve.server.AllocationServer.submit_text`, replies stream
-back through each ticket's ``on_done`` callback (serialized per output
-stream), and the foreground call returns once the server reaches
-``stopped``.  EOF on a transport's input initiates a drain — closing stdin
-(or every connection going away after a ``shutdown``) is the polite way to
-stop a server; SIGTERM/SIGINT are wired to the same drain by the CLI.
+:meth:`~repro.serve.server.AllocationServer.submit_text`, each ticket's
+``on_done`` callback queues its reply for the output stream's writer thread
+(:class:`_ReplyWriter`), and the foreground call returns once the server
+reaches ``stopped``.  EOF on a transport's input initiates a drain —
+closing stdin (or every connection going away after a ``shutdown``) is the
+polite way to stop a server; SIGTERM/SIGINT are wired to the same drain by
+the CLI.
 
 The foreground wait polls the stopped event in short slices so POSIX
 signals keep interrupting the main thread promptly (a bare ``Event.wait()``
@@ -18,6 +19,7 @@ handlers timely under every start method).
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import threading
 from typing import IO, Any, List, Optional, Tuple, Union
@@ -37,19 +39,41 @@ def _wait_until_stopped(server: AllocationServer) -> None:
         pass
 
 
-def _emitter(stream: IO[str], lock: threading.Lock):
-    """A ticket callback that writes the reply as one line on ``stream``."""
+class _ReplyWriter:
+    """Writes one output stream's replies, one line each, in resolve order.
 
-    def emit(ticket: Ticket) -> None:
-        try:
-            data = encode_reply(ticket.reply)
-            with lock:
-                stream.write(data)
-                stream.flush()
-        except (OSError, ValueError):  # reader went away; reply is lost
-            pass
+    The dispatch thread only queues a reply (:meth:`emit` is the tickets'
+    ``on_done`` callback); encoding and the blocking write run on the
+    writer's own thread, so a client that reads slowly never stalls the
+    dispatch of every other client's requests.
+    """
 
-    return emit
+    def __init__(self, stream: IO[str]):
+        self._stream = stream
+        self._replies: "queue.SimpleQueue[Optional[dict]]" = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-serve-writer", daemon=True
+        )
+        self._thread.start()
+
+    def emit(self, ticket: Ticket) -> None:
+        self._replies.put(ticket.reply)
+
+    def _run(self) -> None:
+        while True:
+            reply = self._replies.get()
+            if reply is None:
+                return
+            try:
+                self._stream.write(encode_reply(reply))
+                self._stream.flush()
+            except (OSError, ValueError):  # reader went away; reply is lost
+                pass
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Write every queued reply, then stop the writer thread."""
+        self._replies.put(None)
+        self._thread.join(timeout)
 
 
 def serve_stdio(
@@ -62,8 +86,7 @@ def serve_stdio(
     Blocks until the server is fully stopped; the caller owns server
     startup and :meth:`~repro.serve.server.AllocationServer.close`.
     """
-    lock = threading.Lock()
-    emit = _emitter(output_stream, lock)
+    writer = _ReplyWriter(output_stream)
 
     def pump() -> None:
         try:
@@ -71,7 +94,7 @@ def serve_stdio(
                 line = line.strip()
                 if not line:
                     continue
-                server.submit_text(line, on_done=emit)
+                server.submit_text(line, on_done=writer.emit)
                 if server.wait_stopped(0):
                     break
         except (OSError, ValueError):  # stdin closed abruptly
@@ -81,6 +104,7 @@ def serve_stdio(
     reader = threading.Thread(target=pump, name="repro-serve-stdin", daemon=True)
     reader.start()
     _wait_until_stopped(server)
+    writer.close()
 
 
 class SocketListener:
@@ -147,15 +171,14 @@ class SocketListener:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         stream = connection.makefile("rw", encoding="utf-8", newline="\n")
-        lock = threading.Lock()
-        emit = _emitter(stream, lock)
+        writer = _ReplyWriter(stream)
         pending: List[Ticket] = []
         try:
             for line in stream:
                 line = line.strip()
                 if not line:
                     continue
-                pending.append(self._server.submit_text(line, on_done=emit))
+                pending.append(self._server.submit_text(line, on_done=writer.emit))
         except (OSError, ValueError):
             pass
         # Client half-closed (or disconnected): wait for in-flight replies
@@ -163,6 +186,7 @@ class SocketListener:
         # receives everything it asked for.
         for ticket in pending:
             ticket.done.wait(self._server.service.drain_grace_s)
+        writer.close(self._server.service.drain_grace_s)
         try:
             stream.close()
         except (OSError, ValueError):

@@ -151,12 +151,20 @@ class TestRefresh:
         assert args.rr_sets == 2000
         assert args.deltas == 8
         assert args.rounds == 1
-        assert args.maintenance is None
         assert not args.verify
 
-    def test_refresh_rejects_unknown_maintenance_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["refresh", "--maintenance", "warp"])
+    def test_refresh_rejects_unknown_maintenance_mode(self, capsys):
+        # --maintenance is retired: every value exits 2 with a pointed hint,
+        # on refresh and on serve, and the flag is gone from --help.
+        for command in ("refresh", "serve"):
+            for mode in ("inline", "warp"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, "--maintenance", mode])
+                assert excinfo.value.code == 2
+                assert "--maintenance has been removed" in capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            assert "--maintenance" not in capsys.readouterr().out
 
     def test_refresh_command_runs_and_verifies(self, capsys):
         exit_code = main(
@@ -168,13 +176,11 @@ class TestRefresh:
                 "--rounds", "2",
                 "--seed", "3",
                 "--jobs", "1",
-                "--maintenance", "inline",
                 "--verify",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "effective policy:" in captured.out
-        assert "maintenance=inline" in captured.out
         assert "redrawn" in captured.out
         assert captured.out.count("bit-identical") == 2

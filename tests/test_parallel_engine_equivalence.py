@@ -373,8 +373,9 @@ class TestUniformSamplerSharded:
     def test_fixed_seed_jobs_bit_reproducible(self, micro_graph, wc_probabilities):
         first = self._sampler(micro_graph, wc_probabilities, 5, 3)
         second = self._sampler(micro_graph, wc_probabilities, 5, 3)
-        a = first.generate_collection(45)
-        b = second.generate_collection(45)
+        # 300 slots: calls of fewer than 256 slots run in-process, unsharded.
+        a = first.generate_collection(300)
+        b = second.generate_collection(300)
         assert np.array_equal(a.member_array, b.member_array)
         assert np.array_equal(a.set_offsets, b.set_offsets)
         assert np.array_equal(a.tag_array, b.tag_array)
@@ -384,10 +385,10 @@ class TestUniformSamplerSharded:
         self, micro_graph, wc_probabilities
     ):
         sampler = self._sampler(micro_graph, wc_probabilities, 9, 2)
-        collection = sampler.generate_collection(20)
-        sampler.generate_collection(15, into=collection)
-        assert len(collection) == 35
-        assert collection.count_per_advertiser().sum() == 35
+        collection = sampler.generate_collection(300)
+        sampler.generate_collection(260, into=collection)
+        assert len(collection) == 560
+        assert collection.count_per_advertiser().sum() == 560
         # The grown collection still answers queries consistently.
         state_rows = collection.membership_counts()
         assert state_rows.shape == (2, micro_graph.num_nodes)

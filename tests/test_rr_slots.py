@@ -216,8 +216,9 @@ class TestJobsIndependence:
                 graph, probabilities, [1.0, 2.0, 3.0], seed=11,
                 policy=ExecutionPolicy.fast(n_jobs=n_jobs),
             )
-            collection = sampler.generate_collection(90)
-            sampler.generate_collection(60, into=collection)
+            # Calls of 256+ slots, so that n_jobs really shards them.
+            collection = sampler.generate_collection(300)
+            sampler.generate_collection(260, into=collection)
             signatures.add(_collection_signature(collection))
             edges.add(sampler.edges_examined())
         # One call for the total count draws the same slots.
@@ -225,7 +226,7 @@ class TestJobsIndependence:
             graph, probabilities, [1.0, 2.0, 3.0], seed=11,
             policy=ExecutionPolicy.fast(n_jobs=2),
         )
-        signatures.add(_collection_signature(whole.generate_collection(150)))
+        signatures.add(_collection_signature(whole.generate_collection(560)))
         assert len(signatures) == 1 and len(edges) == 1
 
     def test_uniform_sampler_on_a_shared_runtime(self, graph, probabilities):
@@ -233,11 +234,12 @@ class TestJobsIndependence:
         with Runtime(policy) as runtime:
             pooled = UniformRRSampler(
                 graph, probabilities, [1.0, 2.0, 3.0], seed=4, policy=policy, runtime=runtime
-            ).generate_collection(120)
+            ).generate_collection(300)
+            assert runtime.pool_spawn_count == 1
         serial = UniformRRSampler(
             graph, probabilities, [1.0, 2.0, 3.0], seed=4,
             policy=ExecutionPolicy.fast(n_jobs=1),
-        ).generate_collection(120)
+        ).generate_collection(300)
         assert _collection_signature(pooled) == _collection_signature(serial)
 
     def test_ti_pools(self, graph, probabilities, monkeypatch):
@@ -245,7 +247,7 @@ class TestJobsIndependence:
         for n_jobs in _jobs_variants(monkeypatch):
             generator = RRSetGenerator(graph, probabilities[0])
             rr_sets = generator.generate_batch_parallel(
-                130, rng=np.random.default_rng(3), policy=ExecutionPolicy.fast(n_jobs=n_jobs)
+                300, rng=np.random.default_rng(3), policy=ExecutionPolicy.fast(n_jobs=n_jobs)
             )
             pools.add((b"".join(s.tobytes() for s in rr_sets), generator.edges_examined))
         assert len(pools) == 1
@@ -257,8 +259,8 @@ class TestJobsIndependence:
             store = RRStore(
                 view, [1.0, 2.0, 3.0], seed=21, policy=ExecutionPolicy.fast(n_jobs=n_jobs)
             )
-            store.generate(80)
-            store.generate(40)
+            store.generate(300)
+            store.generate(260)
             edges = view.edges()
             report = store.apply_deltas(
                 [
@@ -287,7 +289,7 @@ class TestJobsIndependence:
                 result = run_ti_baseline(
                     dataset.instance,
                     TIParameters(
-                        pilot_size=32, max_rr_sets_per_advertiser=256, seed=1, policy=policy
+                        pilot_size=32, max_rr_sets_per_advertiser=512, seed=1, policy=policy
                     ),
                     cost_sensitive=False,
                     algorithm_name="TI-CARM",

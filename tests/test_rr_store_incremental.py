@@ -30,8 +30,10 @@ from repro.graph.deltas import (
     RemoveNode,
     UpdateProbability,
 )
+from repro.parallel.executor import PersistentPool
 from repro.rrsets.collection import CoverageState
 from repro.rrsets.estimators import empirical_coverage_fraction
+from repro.rrsets.slots import HashedRRSampler
 from repro.rrsets.store import RRStore
 from repro.runtime import ExecutionPolicy, Runtime
 
@@ -57,7 +59,7 @@ ENGINES = ("legacy", "subsim")
 
 #: Serial in-process policy — the fuzz loops regenerate constantly, and the
 #: pool/inline equivalence has its own dedicated test below.
-INLINE = ExecutionPolicy(maintenance="inline")
+SERIAL = ExecutionPolicy()
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,7 @@ def _ic_probabilities(graph):
     ]
 
 
-def _make_store(graph, seed=17, policy=INLINE, count=300, runtime=None):
+def _make_store(graph, seed=17, policy=SERIAL, count=300, runtime=None):
     view = MutableGraphView(graph, _ic_probabilities(graph))
     store = RRStore(view, [1.0, 1.5], seed=seed, policy=policy, runtime=runtime)
     store.generate(count)
@@ -176,7 +178,7 @@ def test_fuzzed_delta_scripts_match_full_regeneration(
     micro_graph, engine, fuzz_seed
 ):
     """Random localized scripts: incremental ≡ fresh after every batch."""
-    policy = INLINE.evolve(rr_engine=engine)
+    policy = SERIAL.evolve(rr_engine=engine)
     store = _make_store(micro_graph, seed=100 + fuzz_seed, policy=policy)
     rng = np.random.default_rng(fuzz_seed)
     redrawn = 0
@@ -306,21 +308,38 @@ def test_provenance_records_roots_and_tags(micro_graph):
 # --------------------------------------------------------------------------- #
 # 3. execution-policy equivalence (pool vs inline)
 # --------------------------------------------------------------------------- #
+def _count_pool_runs(monkeypatch):
+    """A list that gains one entry per ``PersistentPool.run`` call."""
+    runs = []
+    original = PersistentPool.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PersistentPool, "run", counted)
+    return runs
+
+
 @pytest.mark.parametrize("engine", ENGINES)
-def test_pool_and_inline_maintenance_are_bit_identical(micro_graph, engine):
-    inline_policy = ExecutionPolicy(rr_engine=engine, maintenance="inline")
-    pool_policy = ExecutionPolicy(rr_engine=engine, n_jobs=2, maintenance="pool")
+def test_pool_and_inline_maintenance_are_bit_identical(micro_graph, engine, monkeypatch):
+    inline_policy = ExecutionPolicy(rr_engine=engine)
+    pool_policy = ExecutionPolicy(rr_engine=engine, n_jobs=2)
     inline_store = _make_store(micro_graph, seed=9, policy=inline_policy)
     rng = np.random.default_rng(3)
     script = [_random_batch(rng, inline_store.view) for _ in range(2)]
+    # A whole-store redraw (300 slots) is large enough to run on the pool.
+    script.append([AddNode()])
     for batch in script:
         inline_store.apply_deltas(batch)
     with Runtime(pool_policy) as runtime:
         pool_store = _make_store(
             micro_graph, seed=9, policy=pool_policy, runtime=runtime
         )
+        runs = _count_pool_runs(monkeypatch)
         for batch in script:
             pool_store.apply_deltas(batch)
+        assert runs  # the pool really drew the whole-store redraw
         _assert_bit_identical(inline_store, pool_store)
 
 
@@ -356,7 +375,7 @@ def test_maintained_store_is_statistically_equivalent_to_fresh(model):
         probabilities = [wc, np.clip(wc * 0.8, 0.0, 1.0)]
     count = 3000
     view = MutableGraphView(graph, probabilities)
-    maintained = RRStore(view, [1.0, 1.5], seed=11, policy=INLINE)
+    maintained = RRStore(view, [1.0, 1.5], seed=11, policy=SERIAL)
     maintained.generate(count)
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -365,7 +384,7 @@ def test_maintained_store_is_statistically_equivalent_to_fresh(model):
         MutableGraphView(view.graph, view.advertiser_edge_probabilities),
         [1.0, 1.5],
         seed=9999,  # deliberately different substreams
-        policy=INLINE,
+        policy=SERIAL,
     )
     fresh.generate(count)
     sizes_a = np.diff(maintained.collection.set_offsets).astype(np.float64)
@@ -665,18 +684,84 @@ def _assert_slots_own_their_members(store):
     assert all(members.base is None for members in store._members)
 
 
-def test_stored_slots_are_not_views(micro_graph):
+def test_stored_slots_are_not_views(micro_graph, monkeypatch):
     _assert_slots_own_their_members(_make_store(micro_graph, count=100))
-    pool_policy = ExecutionPolicy(n_jobs=2, maintenance="pool")
+    pool_policy = ExecutionPolicy(n_jobs=2)
     with Runtime(pool_policy) as runtime:
         store = _make_store(micro_graph, seed=9, policy=pool_policy, runtime=runtime)
+        runs = _count_pool_runs(monkeypatch)
         rng = np.random.default_rng(3)
         redrawn = sum(
             store.apply_deltas(_random_batch(rng, store.view)).redrawn for _ in range(2)
         )
-        assert redrawn > 2  # the pool path only shards a redraw of 2+ slots
+        assert redrawn > 2 and not runs  # small redraws run in-process
+        # A whole-store redraw is sharded across the pool.
+        assert store.apply_deltas([AddNode()]).redrawn == len(store)
+        assert runs
         _assert_slots_own_their_members(store)
         restored = RRStore.from_slots(
             store.view, store.cpes, store.seed, *store.export_slots()
         )
     _assert_slots_own_their_members(restored)
+
+
+# --------------------------------------------------------------------------- #
+# a round costs what its batch touches: patched CSR, advanced engine, inline
+# --------------------------------------------------------------------------- #
+def _touch_script(rng, view, h):
+    """Batches of every shape: fuzzed edits with node ops, the mixed
+    in-batch interactions, a no-op rewrite and a remove/re-add inverse pair."""
+    u, v = view.edges()[0]
+    yield [UpdateProbability(u, v, view.edge_probability(u, v, 0), advertiser=0)]
+    yield [RemoveEdge(u, v), AddEdge(u, v, tuple(view.edge_probability(u, v, i) for i in range(h)))]
+    for _ in range(6):
+        yield _random_batch(rng, view, allow_node_ops=True)
+        yield _mixed_batch(rng, view.edges(), view.num_nodes, h, poison=False)
+
+
+@pytest.mark.parametrize("fuzz_seed", FUZZ_SEEDS)
+def test_patched_snapshot_and_advanced_engine_equal_fresh_builds(micro_graph, fuzz_seed):
+    """After every batch the view's patched CSR equals ``from_sorted_edges``
+    on the same keys, and an engine advanced by the batch's in-CSR edit
+    equals — array for array and draw for draw — one built from scratch."""
+    rng = np.random.default_rng(7000 + fuzz_seed)
+    h = 3
+    weights = np.array([0.2, 0.3, 0.5])
+    view = MutableGraphView(
+        micro_graph, [rng.uniform(0.0, 1.0, micro_graph.num_edges) for _ in range(h)]
+    )
+    engine = HashedRRSampler(view.graph, view.advertiser_edge_probabilities, weights)
+    for batch in _touch_script(rng, view, h):
+        effect = view.apply(batch)
+        keys = (view.graph.sources << 32) | view.graph.targets
+        rebuilt = CSRDiGraph.from_sorted_edges(view.num_nodes, keys >> 32, keys & 0xFFFFFFFF)
+        for ours, theirs in zip(_csr_arrays(view.graph), _csr_arrays(rebuilt)):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        engine.advance(view.graph, view.advertiser_edge_probabilities, effect.in_edit)
+        fresh = HashedRRSampler(view.graph, view.advertiser_edge_probabilities, weights)
+        for name in ("_offsets", "_sources", "_degrees", "_key_hashes", "_thresholds"):
+            assert np.array_equal(getattr(engine, name), getattr(fresh, name)), name
+        slots = rng.integers(0, 1 << 40, size=64)
+        for ours, theirs in zip(engine.draw(fuzz_seed, slots), fresh.draw(fuzz_seed, slots)):
+            assert np.array_equal(ours, theirs)
+
+
+def test_small_redraws_stay_in_process_and_whole_store_redraws_use_the_pool(
+    micro_graph, monkeypatch
+):
+    """The inline rule: a redraw of fewer than 256 slots makes no pool call,
+    a whole-store redraw of 300 slots makes exactly one — and the store
+    still equals a fresh regeneration."""
+    policy = ExecutionPolicy.fast(n_jobs=2)
+    with Runtime(policy) as runtime:
+        store = _make_store(micro_graph, seed=4, policy=policy, runtime=runtime)
+        runs = _count_pool_runs(monkeypatch)
+        u, v = store.view.edges()[0]
+        report = store.apply_deltas([UpdateProbability(u, v, 0.9)])
+        assert 0 < report.redrawn < 256 and len(runs) == 0
+        report = store.apply_deltas([AddNode()])
+        assert report.redrawn == 300 and len(runs) == 1
+        report = store.apply_deltas([RemoveEdge(u, v)])
+        assert 0 < report.redrawn < 256 and len(runs) == 1
+    _assert_bit_identical(store, _fresh_clone(store))

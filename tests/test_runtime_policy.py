@@ -138,20 +138,12 @@ class TestExecutionPolicy:
         assert ExecutionPolicy.fast().describe().startswith("fast:")
         assert "n_jobs=serial" in ExecutionPolicy.seed().describe()
 
-    def test_maintenance_knob(self):
-        assert ExecutionPolicy().maintenance == "pool"
-        assert ExecutionPolicy(maintenance="inline").maintenance == "inline"
-        with pytest.raises(PolicyError, match="maintenance"):
-            ExecutionPolicy(maintenance="warp")
-
-    def test_maintenance_never_participates_in_rng_compat(self):
-        # Store slots own their seed substreams, so the knob is result-neutral.
-        assert ExecutionPolicy(maintenance="inline").rng_compat is True
-        assert ExecutionPolicy.seed().evolve(maintenance="inline").rng_compat is True
-
-    def test_describe_mentions_non_default_maintenance_only(self):
+    def test_maintenance_knob_is_retired(self):
+        # Where a store redraw runs follows from its size, never from a knob.
+        assert not hasattr(ExecutionPolicy(), "maintenance")
         assert "maintenance" not in ExecutionPolicy().describe()
-        assert "maintenance=inline" in ExecutionPolicy(maintenance="inline").describe()
+        with pytest.raises(TypeError, match="maintenance"):
+            ExecutionPolicy(maintenance="inline")
 
 
 # --------------------------------------------------------------------------- #
@@ -389,8 +381,8 @@ class TestRuntime:
     def test_ambient_runtime_is_picked_up_without_threading(self, dataset, monkeypatch):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
         params = SamplingParameters(
-            initial_rr_sets=128,
-            max_rr_sets=256,
+            initial_rr_sets=256,  # slot calls of fewer than 256 run in-process
+            max_rr_sets=512,
             seed=1,
             policy=ExecutionPolicy.seed(n_jobs=2),
         )

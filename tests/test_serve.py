@@ -40,7 +40,7 @@ from repro.serve.protocol import encode_reply
 
 #: Serial in-process policy — deterministic and pool-free for the protocol
 #: and lifecycle tests.
-INLINE = ExecutionPolicy(maintenance="inline")
+SERIAL = ExecutionPolicy()
 
 #: Pool-backed policy with fast degrade recovery for the fault tests.
 POOLED = ExecutionPolicy(n_jobs=2, failure=FailurePolicy(retry_backoff_s=0.01))
@@ -64,8 +64,13 @@ def instance():
 
 @pytest.fixture()
 def server(instance):
-    with AllocationServer(instance, policy=INLINE, rr_sets=300, seed=11) as srv:
+    with AllocationServer(instance, policy=SERIAL, rr_sets=300, seed=11) as srv:
         yield srv
+
+
+#: A delta that grows the node space, so its batch redraws the whole store —
+#: 300 slots, enough to run on the pool (smaller redraws run in-process).
+GROW = {"kind": "add_node", "count": 1}
 
 
 def edge_update(instance, edge_id=0, probability=0.05):
@@ -278,7 +283,7 @@ class TestDeadlines:
                     {
                         "op": "refresh",
                         "deadline_s": deadline,
-                        "deltas": [edge_update(instance)],
+                        "deltas": [edge_update(instance), GROW],
                     },
                     timeout=60,
                 )
@@ -286,6 +291,8 @@ class TestDeadlines:
             assert reply["ok"] is False
             assert reply["error"]["code"] == "deadline-exceeded"
             assert elapsed < 2 * deadline
+            # The stalled shard ran on the pool, and its supervision saw it.
+            assert srv.runtime.recovery_stats.shard_timeouts >= 1
             follow_up = srv.request({"op": "ping"}, timeout=60)
             assert follow_up["ok"] is True
             assert follow_up["epoch"] == 1  # the journaled batch stayed applied
@@ -298,7 +305,7 @@ class TestOverload:
     def test_overload_returns_structured_error(self, instance):
         service = ServicePolicy(queue_depth=2, max_inflight=1)
         with AllocationServer(
-            instance, policy=INLINE, rr_sets=200, seed=11, service=service
+            instance, policy=SERIAL, rr_sets=200, seed=11, service=service
         ) as srv:
             # Occupy dispatch so the queue can actually fill.
             blocker = srv.submit({"op": "burn", "seconds": 0.4})
@@ -320,7 +327,7 @@ class TestOverload:
     def test_shed_reply_is_immediate(self, instance):
         service = ServicePolicy(queue_depth=1, max_inflight=1)
         with AllocationServer(
-            instance, policy=INLINE, rr_sets=200, seed=11, service=service
+            instance, policy=SERIAL, rr_sets=200, seed=11, service=service
         ) as srv:
             srv.submit({"op": "burn", "seconds": 0.4})
             time.sleep(0.1)
@@ -340,7 +347,7 @@ class TestCoalescing:
     def test_identical_queries_share_one_pass(self, instance):
         service = ServicePolicy(queue_depth=16, max_inflight=8)
         with AllocationServer(
-            instance, policy=INLINE, rr_sets=200, seed=11, service=service
+            instance, policy=SERIAL, rr_sets=200, seed=11, service=service
         ) as srv:
             srv.submit({"op": "burn", "seconds": 0.3})
             time.sleep(0.1)  # dispatch is busy; the next submits queue up
@@ -365,7 +372,7 @@ class TestCoalescing:
 # --------------------------------------------------------------------------- #
 class TestDrain:
     def test_drain_finishes_inflight_then_rejects(self, instance):
-        with AllocationServer(instance, policy=INLINE, rr_sets=200, seed=11) as srv:
+        with AllocationServer(instance, policy=SERIAL, rr_sets=200, seed=11) as srv:
             inflight = srv.submit({"op": "burn", "seconds": 0.3})
             time.sleep(0.1)
             srv.initiate_drain()
@@ -378,7 +385,7 @@ class TestDrain:
             assert srv.state == "stopped"
 
     def test_shutdown_op_drains(self, instance):
-        with AllocationServer(instance, policy=INLINE, rr_sets=200, seed=11) as srv:
+        with AllocationServer(instance, policy=SERIAL, rr_sets=200, seed=11) as srv:
             reply = srv.request({"op": "shutdown"})
             assert reply["ok"] is True and reply["result"] == {"draining": True}
             assert srv.wait_stopped(10)
@@ -387,7 +394,7 @@ class TestDrain:
     def test_drain_grace_bounds_queued_work(self, instance):
         service = ServicePolicy(queue_depth=16, max_inflight=1, drain_grace_s=0.3)
         with AllocationServer(
-            instance, policy=INLINE, rr_sets=200, seed=11, service=service
+            instance, policy=SERIAL, rr_sets=200, seed=11, service=service
         ) as srv:
             tickets = [
                 srv.submit({"op": "burn", "seconds": 0.25, "id": i})
@@ -405,7 +412,7 @@ class TestDrain:
             assert (False, "draining") in outcomes
 
     def test_lifecycle_misuse_raises(self, instance):
-        srv = AllocationServer(instance, policy=INLINE, rr_sets=100, seed=11)
+        srv = AllocationServer(instance, policy=SERIAL, rr_sets=100, seed=11)
         srv.start()
         with pytest.raises(ServiceError, match="already started"):
             srv.start()
@@ -428,7 +435,7 @@ class TestCrashBitIdentity:
             refresh = {
                 "op": "refresh",
                 "id": "r1",
-                "deltas": [edge_update(instance)],
+                "deltas": [edge_update(instance), GROW],
             }
             if inject_crash:
                 # Faults arm at pool spawn: release the startup pool so the
@@ -470,7 +477,7 @@ class TestConcurrentClients:
     def test_every_ticket_resolves_exactly_once(self, instance):
         service = ServicePolicy(queue_depth=32, max_inflight=4)
         with AllocationServer(
-            instance, policy=INLINE, rr_sets=200, seed=11, service=service
+            instance, policy=SERIAL, rr_sets=200, seed=11, service=service
         ) as srv:
             replies = []
             lock = threading.Lock()
@@ -505,8 +512,8 @@ class TestSwitchInterval:
     def test_lowered_while_any_server_dispatches_then_restored(self, instance):
         before = sys.getswitchinterval()
         lowered = pytest.approx(min(before, server_module._SWITCH_INTERVAL_S))
-        first = AllocationServer(instance, policy=INLINE, rr_sets=100, seed=11)
-        second = AllocationServer(instance, policy=INLINE, rr_sets=100, seed=11)
+        first = AllocationServer(instance, policy=SERIAL, rr_sets=100, seed=11)
+        second = AllocationServer(instance, policy=SERIAL, rr_sets=100, seed=11)
         try:
             for srv in (first, second):
                 srv.start()

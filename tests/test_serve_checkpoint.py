@@ -31,7 +31,7 @@ from repro.runtime import ExecutionPolicy
 from repro.serve import AllocationServer, CheckpointManager
 from repro.serve.checkpoint import DeltaJournal
 
-from test_serve import INLINE, build_instance, edge_update
+from test_serve import SERIAL, build_instance, edge_update
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,7 +44,7 @@ def instance():
 def fresh_replay(instance, delta_batches, rr_sets=300, seed=11):
     """A store built from scratch and fed the same batches (the reference)."""
     view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-    store = RRStore(view, instance.cpes(), seed=seed, policy=INLINE)
+    store = RRStore(view, instance.cpes(), seed=seed, policy=SERIAL)
     store.generate(rr_sets)
     for batch in delta_batches:
         store.apply_deltas(batch)
@@ -66,13 +66,13 @@ def assert_stores_bit_identical(left, right):
 class TestCheckpointFormat:
     def test_roundtrip(self, instance, tmp_path):
         view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-        store = RRStore(view, instance.cpes(), seed=11, policy=INLINE)
+        store = RRStore(view, instance.cpes(), seed=11, policy=SERIAL)
         store.generate(200)
         manager = CheckpointManager(tmp_path)
         assert not manager.has_checkpoint()
         manager.save_state(view, store, epoch=0)
         assert manager.has_checkpoint()
-        restored = manager.restore(policy=INLINE)
+        restored = manager.restore(policy=SERIAL)
         assert restored.base_epoch == 0
         assert restored.replayed_batches == 0
         assert not restored.dropped_torn_tail
@@ -83,12 +83,12 @@ class TestCheckpointFormat:
 
     def test_checkpoint_includes_isolated_nodes(self, instance, tmp_path):
         view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-        store = RRStore(view, instance.cpes(), seed=11, policy=INLINE)
+        store = RRStore(view, instance.cpes(), seed=11, policy=SERIAL)
         store.generate(100)
         store.apply_deltas([AddNode(count=3)])
         manager = CheckpointManager(tmp_path)
         manager.save_state(view, store, epoch=1)
-        restored = manager.restore(policy=INLINE)
+        restored = manager.restore(policy=SERIAL)
         assert restored.view.num_nodes == instance.num_nodes + 3
         assert_stores_bit_identical(store, restored.store)
 
@@ -98,7 +98,7 @@ class TestCheckpointFormat:
 
     def test_corrupt_payload_detected(self, instance, tmp_path):
         view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-        store = RRStore(view, instance.cpes(), seed=11, policy=INLINE)
+        store = RRStore(view, instance.cpes(), seed=11, policy=SERIAL)
         store.generate(50)
         manager = CheckpointManager(tmp_path)
         path = manager.save_state(view, store, epoch=0)
@@ -110,7 +110,7 @@ class TestCheckpointFormat:
 
     def test_truncated_payload_detected(self, instance, tmp_path):
         view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-        store = RRStore(view, instance.cpes(), seed=11, policy=INLINE)
+        store = RRStore(view, instance.cpes(), seed=11, policy=SERIAL)
         store.generate(50)
         manager = CheckpointManager(tmp_path)
         path = manager.save_state(view, store, epoch=0)
@@ -173,14 +173,14 @@ class TestDeltaJournal:
 
     def test_epoch_gap_detected_on_restore(self, instance, tmp_path):
         view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-        store = RRStore(view, instance.cpes(), seed=11, policy=INLINE)
+        store = RRStore(view, instance.cpes(), seed=11, policy=SERIAL)
         store.generate(50)
         manager = CheckpointManager(tmp_path)
         manager.save_state(view, store, epoch=0)
         manager.journal.append(2, [AddNode()])  # epoch 1 is missing
         manager.journal.close()
         with pytest.raises(CheckpointError, match="skips from epoch"):
-            manager.restore(policy=INLINE)
+            manager.restore(policy=SERIAL)
 
 
 # --------------------------------------------------------------------------- #
@@ -197,7 +197,7 @@ class TestCrashRecovery:
             [{"kind": "add_node", "count": 2}],
         ]
         server = AllocationServer(
-            instance, policy=INLINE, rr_sets=300, seed=11, checkpoint_dir=tmp_path
+            instance, policy=SERIAL, rr_sets=300, seed=11, checkpoint_dir=tmp_path
         )
         server.start()
         for batch in batches_json:
@@ -207,7 +207,7 @@ class TestCrashRecovery:
         server.runtime.close()  # abandon without drain: simulated SIGKILL
 
         recovered = AllocationServer(
-            instance, policy=INLINE, rr_sets=300, seed=11, checkpoint_dir=tmp_path
+            instance, policy=SERIAL, rr_sets=300, seed=11, checkpoint_dir=tmp_path
         )
         with recovered:
             assert recovered.restored
@@ -236,7 +236,7 @@ class TestCrashRecovery:
         service = ServicePolicy(checkpoint_every=1)
         server = AllocationServer(
             instance,
-            policy=INLINE,
+            policy=SERIAL,
             rr_sets=300,
             seed=11,
             checkpoint_dir=tmp_path,
@@ -248,7 +248,7 @@ class TestCrashRecovery:
         server.runtime.close()
 
         recovered = AllocationServer(
-            instance, policy=INLINE, rr_sets=300, seed=11, checkpoint_dir=tmp_path
+            instance, policy=SERIAL, rr_sets=300, seed=11, checkpoint_dir=tmp_path
         )
         with recovered:
             assert recovered.restored
@@ -263,7 +263,7 @@ class TestCrashRecovery:
 
     def test_explicit_checkpoint_op(self, instance, tmp_path):
         server = AllocationServer(
-            instance, policy=INLINE, rr_sets=200, seed=11, checkpoint_dir=tmp_path
+            instance, policy=SERIAL, rr_sets=200, seed=11, checkpoint_dir=tmp_path
         )
         with server:
             assert server.request({"op": "refresh", "deltas": [edge_update(instance)]})["ok"]
@@ -273,7 +273,7 @@ class TestCrashRecovery:
             assert Path(reply["result"]["path"]).exists()
 
     def test_checkpoint_op_without_directory_is_bad_request(self, instance):
-        with AllocationServer(instance, policy=INLINE, rr_sets=100, seed=11) as server:
+        with AllocationServer(instance, policy=SERIAL, rr_sets=100, seed=11) as server:
             reply = server.request({"op": "checkpoint"})
             assert reply["ok"] is False
             assert reply["error"]["code"] == "bad-request"
@@ -282,7 +282,7 @@ class TestCrashRecovery:
         """Checkpointing never captures a half-maintained store: export
         refuses while maintenance is pending."""
         view = MutableGraphView(instance.graph, instance.all_edge_probabilities())
-        store = RRStore(view, instance.cpes(), seed=11, policy=INLINE)
+        store = RRStore(view, instance.cpes(), seed=11, policy=SERIAL)
         store.generate(50)
         store._pending_maintenance = (view.epoch, None, np.array([0]), "test")
         with pytest.raises(SamplingError, match="interrupted mid-redraw"):
@@ -317,8 +317,6 @@ class TestKillNine:
             "11",
             "--jobs",
             "1",
-            "--maintenance",
-            "inline",
             "--checkpoint-dir",
             str(checkpoint_dir),
         ]
@@ -372,7 +370,7 @@ class TestKillNine:
         )
         recovered = AllocationServer(
             data.instance,
-            policy=INLINE,
+            policy=SERIAL,
             rr_sets=200,
             seed=11,
             checkpoint_dir=checkpoint_dir,

@@ -19,7 +19,7 @@ import pytest
 
 from repro.serve import AllocationServer, SocketListener, request_over_socket
 
-from test_serve import INLINE, build_instance
+from test_serve import SERIAL, build_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,8 +40,6 @@ SERVE_ARGS = [
     "11",
     "--jobs",
     "1",
-    "--maintenance",
-    "inline",
 ]
 
 
@@ -162,7 +160,7 @@ class TestSigtermDrain:
 # --------------------------------------------------------------------------- #
 class TestSockets:
     def test_tcp_round_trip(self, instance):
-        server = AllocationServer(instance, policy=INLINE, rr_sets=200, seed=11)
+        server = AllocationServer(instance, policy=SERIAL, rr_sets=200, seed=11)
         server.start()
         listener = SocketListener(server, port=0)
         try:
@@ -180,7 +178,7 @@ class TestSockets:
             server.close()
 
     def test_tcp_many_connections(self, instance):
-        server = AllocationServer(instance, policy=INLINE, rr_sets=200, seed=11)
+        server = AllocationServer(instance, policy=SERIAL, rr_sets=200, seed=11)
         server.start()
         listener = SocketListener(server, port=0)
         try:
@@ -195,7 +193,7 @@ class TestSockets:
 
     def test_unix_socket_round_trip(self, instance, tmp_path):
         path = tmp_path / "serve.sock"
-        server = AllocationServer(instance, policy=INLINE, rr_sets=200, seed=11)
+        server = AllocationServer(instance, policy=SERIAL, rr_sets=200, seed=11)
         server.start()
         listener = SocketListener(server, unix_path=str(path))
         try:

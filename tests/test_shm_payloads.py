@@ -184,8 +184,8 @@ class TestBitIdentity:
         results = {}
         for mode in ("pickle", "shm"):
             params = SamplingParameters(
-                initial_rr_sets=128,
-                max_rr_sets=256,
+                initial_rr_sets=256,  # calls of fewer than 256 run in-process
+                max_rr_sets=512,
                 seed=1,
                 policy=ExecutionPolicy(rr_engine="subsim", n_jobs=2, payload=mode),
             )
@@ -193,6 +193,7 @@ class TestBitIdentity:
                 results[mode] = rm_without_oracle(
                     dataset.instance, params, runtime=rt
                 )
+                assert rt.pool_spawn_count == 1
         pickle_run, shm_run = results["pickle"], results["shm"]
         assert pickle_run.revenue == shm_run.revenue
         assert all(
@@ -299,7 +300,7 @@ class TestServeDrain:
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--dataset", "lastfm_like", "--scale", "0.05",
-                "--advertisers", "2", "--rr-sets", "150", "--seed", "11",
+                "--advertisers", "2", "--rr-sets", "300", "--seed", "11",
                 "--jobs", "2", "--payload", "shm",
             ],
             stdin=subprocess.PIPE,
@@ -312,6 +313,8 @@ class TestServeDrain:
             for line in proc.stderr:
                 if "serving:" in line:
                     break
+            # The 300-slot store was drawn on the pool, through shared memory.
+            assert _new_segments(segment_baseline)
             proc.stdin.write(json.dumps({"op": "allocate", "id": 1, "tau": 0.1}) + "\n")
             proc.stdin.flush()
             time.sleep(0.3)
