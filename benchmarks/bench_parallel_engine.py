@@ -43,7 +43,9 @@ with per-call pools (one ``multiprocessing.Pool`` spawn per
 :class:`repro.runtime.Runtime` pool (one spawn for the whole scenario),
 asserting the two paths produce bit-identical collections.  This measures
 how much of the sharded pipeline's overhead is pure pool spawn + payload
-shipping, i.e. what the ``Runtime`` layer amortises.
+shipping, i.e. what the ``Runtime`` layer amortises.  Calls this small
+would be drawn in-process (``repro.parallel.rr._INLINE_WORK``), so
+the section sends every one to the pool.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import math
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -64,7 +67,7 @@ from repro.diffusion.engine import (
 )
 from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
-from repro.parallel import ShardedExecutor
+from repro.parallel import ShardedExecutor, rr
 from repro.parallel.mc import run_singleton_shards, run_spread_shards
 from repro.parallel.rr import run_generation_shards, split_flat
 from repro.rrsets.collection import RRCollection
@@ -364,10 +367,14 @@ def run(config: dict) -> dict:
             one, two = doubling_scenario(rt)
             return one, two, rt.pool_spawn_count, rt.recovery_stats.events
 
-    per_call_s, (e_one, e_two) = _timed_best(lambda: doubling_scenario(None), repeats)
-    runtime_s, (p_one, p_two, spawns, recovery_events) = _timed_best(
-        run_with_runtime, repeats
-    )
+    # This section times pool mechanics, so every round goes to the pool:
+    # left to itself, run_slot_shards draws calls this small in-process.
+    with mock.patch.object(rr, "_INLINE_WORK", 0):
+        per_call_s, (e_one, e_two) = _timed_best(lambda: doubling_scenario(None), repeats)
+        runtime_s, (p_one, p_two, spawns, recovery_events) = _timed_best(
+            run_with_runtime, repeats
+        )
+    assert spawns == 1, f"the Runtime path spawned {spawns} pools"
     assert np.array_equal(e_one.member_array, p_one.member_array)
     assert np.array_equal(e_two.member_array, p_two.member_array)
     assert np.array_equal(e_one.tag_array, p_one.tag_array)

@@ -22,8 +22,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.diffusion.simulation import exact_spread, monte_carlo_spread
@@ -191,10 +189,10 @@ class ExactOracle(RevenueOracle):
 class RRSetOracle(RevenueOracle):
     """Sampling-space revenue function ``π̃_i(·, R)`` over a tagged RR collection.
 
-    The oracle memoises the covered RR-set indices per queried seed set as a
-    **sorted int64 array** and reuses the memo of any subset it has already
-    seen minus/plus one element (merging with ``np.union1d``), which makes
-    the greedy algorithms' incremental query pattern cheap.
+    Every query is one :meth:`RRCollection.coverage_count` times
+    :attr:`scale`: ``revenue`` is ``scale × count(S)`` and
+    ``marginal_revenue`` is ``scale × (count(S ∪ {u}) − count(S))``.  Nothing
+    is memoised, so an answer never depends on the queries before it.
     """
 
     def __init__(self, collection: RRCollection, gamma: float):
@@ -205,12 +203,6 @@ class RRSetOracle(RevenueOracle):
         self._collection = collection
         self._gamma = gamma
         self._scale = collection.num_nodes * gamma / len(collection)
-        self._empty_covered = np.empty(0, dtype=np.int64)
-        self._covered_cache: Dict[Tuple[int, FrozenSet[int]], np.ndarray] = {}
-        # One boolean covered-mask per advertiser for the current seed set of
-        # the greedy loop: marginal queries against an unchanged seed set are
-        # one fancy-index count instead of a set merge.
-        self._mask_cache: Dict[int, Tuple[FrozenSet[int], np.ndarray]] = {}
 
     @property
     def num_advertisers(self) -> int:
@@ -231,57 +223,13 @@ class RRSetOracle(RevenueOracle):
         """``nΓ / |R|`` — revenue contributed by each covered RR-set."""
         return self._scale
 
-    def _covered_indices(self, advertiser: int, seed_set: FrozenSet[int]) -> np.ndarray:
-        """Sorted int64 array of RR-set indices covered by ``seed_set``."""
-        if not seed_set:
-            return self._empty_covered
-        key = (advertiser, seed_set)
-        cached = self._covered_cache.get(key)
-        if cached is not None:
-            return cached
-        # Try to extend a cached subset by one element (the greedy pattern).
-        best_subset: Optional[FrozenSet[int]] = None
-        for node in seed_set:
-            candidate = seed_set - {node}
-            if (advertiser, candidate) in self._covered_cache:
-                best_subset = candidate
-                break
-        if best_subset is not None:
-            covered = self._covered_cache[(advertiser, best_subset)]
-            extra_nodes = seed_set - best_subset
-        else:
-            covered = self._empty_covered
-            extra_nodes = seed_set
-        for node in extra_nodes:
-            covered = np.union1d(
-                covered, self._collection.sets_containing_array(advertiser, int(node))
-            )
-        self._covered_cache[key] = covered
-        return covered
-
     def revenue(self, advertiser: int, seeds: Iterable[int]) -> float:
-        seed_set = frozenset(int(s) for s in seeds)
         if not 0 <= advertiser < self.num_advertisers:
             raise SolverError(f"advertiser {advertiser} out of range")
-        return self._scale * self._covered_indices(advertiser, seed_set).size
+        return self._scale * self._collection.coverage_count(advertiser, seeds)
 
     def marginal_revenue(self, advertiser: int, node: int, seeds: Iterable[int]) -> float:
-        seed_set = frozenset(int(s) for s in seeds)
-        node = int(node)
-        if node in seed_set:
-            return 0.0
-        containing = self._collection.sets_containing_array(advertiser, node)
-        if containing.size == 0:
-            return 0.0
-        covered = self._covered_indices(advertiser, seed_set)
-        if covered.size == 0:
-            return self._scale * containing.size
-        cached = self._mask_cache.get(advertiser)
-        if cached is None or cached[0] != seed_set:
-            mask = np.zeros(len(self._collection), dtype=bool)
-            mask[covered] = True
-            self._mask_cache[advertiser] = (seed_set, mask)
-        else:
-            mask = cached[1]
-        already = np.count_nonzero(mask[containing])
-        return self._scale * (containing.size - already)
+        seeds = [int(s) for s in seeds]
+        count = self._collection.coverage_count
+        gain = count(advertiser, seeds + [int(node)]) - count(advertiser, seeds)
+        return self._scale * gain

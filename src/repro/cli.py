@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,8 +66,9 @@ from repro.runtime import (
 
 #: ``--jobs`` help of the store-backed sub-commands (``refresh``, ``serve``).
 _JOBS_HELP = (
-    "worker processes for drawing the store's RR-sets; a draw or redraw of "
-    "fewer than 256 RR-sets runs in-process, whatever N is"
+    "worker processes for drawing the store's RR-sets; a draw or redraw too "
+    "small to gain from them (RR-sets x mean in-degree below 24,000) runs "
+    "in-process, whatever N is"
 )
 
 
@@ -410,7 +411,10 @@ def _prepare(args: argparse.Namespace):
     return data, policy, sampling, ti
 
 
-def _run_row(args, data, algorithm, sampling, ti, evaluator, runtime) -> dict:
+def _run_row(
+    args, data, algorithm, sampling, ti, evaluator, runtime
+) -> Tuple[dict, Optional[str]]:
+    """One table row for ``algorithm``, and its cap note (or ``None``)."""
     # The baselines receive the (1 + rho)-scaled budget, as in the paper.
     instance = data.instance
     if algorithm not in ("RMA", "OneBatchRM"):
@@ -423,7 +427,7 @@ def _run_row(args, data, algorithm, sampling, ti, evaluator, runtime) -> dict:
         ti_params=ti,
         runtime=runtime,
     )
-    return {
+    row = {
         "algorithm": algorithm,
         "revenue": run.evaluation.revenue,
         "seeding_cost": run.evaluation.seeding_cost,
@@ -432,6 +436,7 @@ def _run_row(args, data, algorithm, sampling, ti, evaluator, runtime) -> dict:
         "rate_of_return": run.evaluation.rate_of_return,
         "time_s": round(run.running_time_seconds, 3),
     }
+    return row, run.solver_result.cap_note
 
 
 def _report_recovery(runtime: Runtime) -> None:
@@ -457,7 +462,7 @@ def command_solve(args: argparse.Namespace) -> int:
             policy=policy,
             runtime=runtime,
         )
-        row = _run_row(args, data, args.algorithm, sampling, ti, evaluator, runtime)
+        row, note = _run_row(args, data, args.algorithm, sampling, ti, evaluator, runtime)
         _report_recovery(runtime)
     print(
         format_table(
@@ -468,6 +473,8 @@ def command_solve(args: argparse.Namespace) -> int:
             ),
         )
     )
+    if note:
+        print(f"{args.algorithm}: {note}")
     return 0
 
 
@@ -483,10 +490,10 @@ def command_compare(args: argparse.Namespace) -> int:
             policy=policy,
             runtime=runtime,
         )
-        rows = [
+        rows, notes = zip(*(
             _run_row(args, data, algorithm, sampling, ti, evaluator, runtime)
             for algorithm in args.algorithms
-        ]
+        ))
         _report_recovery(runtime)
     print(
         format_table(
@@ -497,6 +504,9 @@ def command_compare(args: argparse.Namespace) -> int:
             ),
         )
     )
+    for algorithm, note in zip(args.algorithms, notes):
+        if note:
+            print(f"{algorithm}: {note}")
     best = max(rows, key=lambda row: row["revenue"])
     print(f"Best revenue: {best['algorithm']} ({best['revenue']:.1f})")
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -53,6 +54,38 @@ class SolverResult:
     search: Optional[SearchByproducts] = None
     #: solver-specific diagnostics (RR-set counts, iterations, bounds, ...)
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def cap_note(self) -> Optional[str]:
+        """Why the guarantee does not hold, when a sample cap stopped the solve.
+
+        RMA's guarantee needs θ to grow until its own stopping rule passes
+        (ratio test and R2 budget check).  A ``max_rr_sets`` cap below
+        ``θ_max`` can end it first; this line says so, from the metadata,
+        e.g. ``"capped at θ = 4,096 of θ_max = 7.9M; budget check not
+        passed"``.  ``None`` when no cap bound.
+        """
+        meta = self.metadata
+        cap = meta.get("rr_set_cap")
+        theta_max = meta.get("theta_max_theoretical")
+        if cap is None or theta_max is None or cap >= theta_max:
+            return None
+        failed = []
+        if meta["beta"] < meta["lambda"] - meta["epsilon"]:
+            failed.append("ratio test")
+        if not meta["feasible"]:
+            failed.append("budget check")
+        if meta["rr_sets"] < cap or not failed:
+            return None
+        theta_max = (
+            f"{theta_max / 1e6:.1f}M" if theta_max >= 1e6 else f"{math.ceil(theta_max):,}"
+        )
+        note = f"capped at θ = {meta['rr_sets']:,} of θ_max = {theta_max}; "
+        note += " and ".join(failed) + " not passed"
+        removed = sum(meta.get("seeds_removed_at_cap", {}).values())
+        if removed:
+            note += f"; {removed} seed{'s' * (removed != 1)} removed to fit the budgets"
+        return note
 
     @property
     def total_payment(self) -> float:

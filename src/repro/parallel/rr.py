@@ -7,11 +7,13 @@ Two shard workers back the RR consumers:
   :meth:`repro.rrsets.uniform.UniformRRSampler.generate_collection`, the
   ``fast()`` TI pool fill behind
   :meth:`repro.rrsets.generator.RRSetGenerator.generate_batch_parallel`
-  and :class:`repro.rrsets.store.RRStore`.  A call of fewer than
-  :data:`_INLINE_SLOTS` slots is drawn in-process as one piece; a larger
-  slot range or array is cut into contiguous pieces, one per shard.  Since
-  no slot depends on another, the merged result is the same either way and
-  for every shard layout.
+  and :class:`repro.rrsets.store.RRStore`.  The call's work decides where
+  it runs: below :data:`_INLINE_WORK` slots × mean in-degree it is drawn
+  in-process as one piece (RMA's doubling rounds on small graphs, store
+  redraws); above, it is cut into contiguous pieces, one per shard
+  (TI-CARM's pool fills, whole stores, evaluators).  Since no slot depends
+  on another, the merged result is the same either way and for every shard
+  layout.
 * :func:`run_generation_shards` is the per-set stream path of
   ``generate_batch_parallel`` under ``seed(n_jobs>1)``: each shard draws
   from its own :func:`spawn_rngs` substream, so a fixed ``(seed, n_jobs)``
@@ -19,8 +21,8 @@ Two shard workers back the RR consumers:
 
 Each shard builds its engine against the fork-inherited (or pickled-once)
 CSR graph — memoised per payload in the persistent pool's
-:func:`~repro.parallel.executor.current_worker_cache`, so RMA's doubling
-rounds reuse one engine per worker — and returns its RR-sets as **flat
+:func:`~repro.parallel.executor.current_worker_cache`, so repeated calls on
+one payload reuse one engine per worker — and returns its RR-sets as **flat
 arrays** (one concatenated member array plus size, tag and root arrays), so
 the pickle back to the parent is a few large buffers instead of thousands of
 tiny ones.  The parent merges shards by shard position (the supervised
@@ -141,10 +143,16 @@ def generate_batch_sharded(
 
 
 
-#: Slot calls below this many slots are drawn in-process: a pool round trip
-#: (dispatch, payload broadcast, result pickling) costs more than drawing
-#: them.  RMA's and TI-CARM's calls are larger; store redraws mostly are not.
-_INLINE_SLOTS = 256
+#: A slot call whose work — its slots times its graph's mean in-degree — is
+#: below this is drawn in-process: a pool round trip (dispatch, result
+#: pickling, merge) costs a few milliseconds, more than such a draw.  The
+#: work orders the calls as the in-edges they examine do: a redraw of 255
+#: slots on a 10k-node graph (2.7k), RMA's largest doubling round on the
+#: 300-node perfbench graph (2,048 slots, 15k), then a 4,000-slot store on
+#: 450 nodes (37k), TI-CARM's pool fills on 10k nodes (3,968 slots, 42k) and
+#: a 10,000-slot evaluator on 300 nodes (74k).  On a 2-core host with a warm
+#: 2-worker pool, RMA's round takes 5.6 ms in-process against 8.6 ms pooled.
+_INLINE_WORK = 24_000
 
 
 class SlotShard(NamedTuple):
@@ -187,12 +195,13 @@ def run_slot_shards(
 ) -> List[SlotShard]:
     """Draw RR-set slots across the executor's shards, in slot order.
 
-    ``slots`` is a ``(lo, hi)`` range or an explicit slot array.  A call of
-    fewer than :data:`_INLINE_SLOTS` slots is drawn in-process as one piece,
-    on the engine ``engine()`` returns when the caller keeps one for these
-    arguments, else on a fresh one.  A larger call is cut into contiguous
-    pieces by :func:`~repro.parallel.executor.shard_counts` and run on the
-    executor.  Every slot is a pure function of ``(entropy, slot)``
+    ``slots`` is a ``(lo, hi)`` range or an explicit slot array.  A call
+    whose slot count times ``graph``'s mean in-degree is below
+    :data:`_INLINE_WORK` is drawn in-process as one piece, on the engine
+    ``engine()`` returns when the caller keeps one for these arguments,
+    else on a fresh one; it never reaches the pool.  A larger
+    call is cut into contiguous pieces by
+    :func:`~repro.parallel.executor.shard_counts` and run on the executor.  Every slot is a pure function of ``(entropy, slot)``
     (:mod:`repro.rrsets.slots`), so neither that choice nor the shard
     layout — and with it ``n_jobs``, ``REPRO_MAX_JOBS``, pool reuse and
     crash recovery — ever changes the merged result.
@@ -202,7 +211,8 @@ def run_slot_shards(
     persistent pools cache broadcast payloads by element identity.
     """
     count = slots[1] - slots[0] if isinstance(slots, tuple) else int(slots.size)
-    if 0 < count < _INLINE_SLOTS:
+    work = count * graph.num_edges / max(graph.num_nodes, 1)
+    if 0 < count and work < _INLINE_WORK:
         started = time.process_time()
         local = (
             engine()

@@ -21,8 +21,9 @@ CSR arrays:
    boolean covered mask: construction is a single ``np.bincount``,
    ``add_seed`` a handful of fancy-indexing scatter ops.
 4. **Estimation** (:mod:`~repro.rrsets.estimators`,
-   :class:`~repro.advertising.oracle.RRSetOracle`) — covered-index sets as
-   sorted int64 arrays merged with ``np.union1d``.
+   :class:`~repro.advertising.oracle.RRSetOracle`) — one coverage count
+   per query: the seed nodes' inverted-index slices marked in a bool mask
+   (:meth:`~repro.rrsets.collection.RRCollection.coverage_count`).
 
 The engine consumes randomness in exactly the same order as the seed
 implementation (preserved in :mod:`~repro.rrsets.legacy`), so a fixed seed

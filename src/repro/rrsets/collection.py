@@ -395,16 +395,24 @@ class RRCollection:
         return self.sets_containing_array(advertiser, int(node)).tolist()
 
     def coverage_count(self, advertiser: int, nodes: Iterable[int]) -> int:
-        """Number of RR-sets tagged ``advertiser`` intersecting ``nodes``."""
+        """Number of RR-sets tagged ``advertiser`` intersecting ``nodes``.
+
+        Gathers the nodes' inverted-index slices, marks them in one
+        ``len(self)`` bool mask and counts it.  A single node needs only its
+        slice size: a slice never repeats an RR-set.
+        """
         slices = [
-            self.sets_containing_array(advertiser, int(node)) for node in nodes
+            self.sets_containing_array(advertiser, node)
+            for node in {int(node) for node in nodes}
         ]
         slices = [s for s in slices if s.size]
         if not slices:
             return 0
         if len(slices) == 1:
-            return int(slices[0].size)  # already unique per (tag, node)
-        return int(np.unique(np.concatenate(slices)).size)
+            return int(slices[0].size)
+        covered = np.zeros(len(self), dtype=bool)
+        covered[np.concatenate(slices)] = True
+        return int(np.count_nonzero(covered))
 
     def memory_proxy_bytes(self) -> int:
         """Approximate memory footprint of the stored RR-sets, in bytes."""

@@ -41,10 +41,11 @@ delta scripts and the redraw counter proves locality.
 A round costs what its batch touches.  The view patches its snapshot's
 in-CSR at the batch's positions; the store advances its own hashed slot
 engine by the same edit (:meth:`~repro.rrsets.slots.HashedRRSampler.advance`)
-instead of rebuilding it; and a redraw of fewer than 256 slots runs
-in-process on that engine, while a larger one (a whole-store redraw after
-``AddNode``, a large ``generate``) is sharded across the worker pool of the
-passed or ambient :class:`~repro.runtime.Runtime`
+instead of rebuilding it; and a small redraw runs in-process on that
+engine, while a large one (slots × mean in-degree of at least
+:data:`~repro.parallel.rr._INLINE_WORK`: a whole-store redraw after
+``AddNode`` or a large ``generate``) is sharded across the worker pool of
+the passed or ambient :class:`~repro.runtime.Runtime`
 (:func:`~repro.parallel.rr.run_slot_shards` makes that call).  Where a slot
 is drawn never changes it, exactly because slots are pure functions of their
 index.

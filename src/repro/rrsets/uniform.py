@@ -22,6 +22,7 @@ from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRDiGraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator
+from repro.rrsets.slots import slot_engine
 from repro.utils.rng import RandomSource, as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,6 +120,7 @@ class UniformRRSampler:
             ]
         self._slotted = generator_cls is None or self._n_jobs > 1
         self._next_slot = 0
+        self._engine = None
         if self._slotted:
             self._entropy = int(self._rng.integers(0, 1 << 63))
 
@@ -197,6 +199,7 @@ class UniformRRSampler:
             self._entropy,
             (lo, lo + count),
             executor,
+            engine=self._slot_engine,
         )
         for shard in shards:
             self._edges_examined += int(shard.edges_examined.sum())
@@ -207,6 +210,16 @@ class UniformRRSampler:
             )
         into.extend_from_shards(triples)
         return into
+
+    def _slot_engine(self):
+        """The slot engine of in-process draws, built once per sampler: a
+        build is O(h·m), about as long as drawing 512 slots on a 10k-node
+        graph."""
+        if self._engine is None:
+            self._engine = slot_engine(
+                self._generator_cls, self._graph, self._probability_arrays, self._weights
+            )
+        return self._engine
 
 
 class PerAdvertiserRRSampler:

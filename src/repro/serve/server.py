@@ -37,7 +37,9 @@ Architecture
   handler, so a ``spread`` arriving during an ``allocate`` spent ~10 ms
   before admission alone.  While any server dispatches, the process runs
   with a :data:`_SWITCH_INTERVAL_S` interval (the previous one is restored
-  when the last server stops).
+  when the last server stops), and the dispatch thread yields after each
+  resolved ticket group, so its replies leave before the next handler
+  starts.
 * **Drain**: ``shutdown`` requests, transport EOF and SIGTERM/SIGINT all
   funnel into :meth:`initiate_drain` — new admissions are rejected with
   ``draining``, in-flight tickets finish (bounded by ``drain_grace_s``), a
@@ -487,6 +489,9 @@ class AllocationServer:
             self._stats.bump("coalesced", len(tickets) - 1)
             for ticket in tickets:
                 self._resolve(ticket, ok, body)
+            # Yield the GIL, so that the reply writers send these replies
+            # now rather than a switch interval into the next handler.
+            time.sleep(0)
 
     def _execute(self, ticket: Ticket) -> Tuple[bool, Dict[str, Any]]:
         """Run one request to a (ok, body) verdict, enforcing its deadline."""

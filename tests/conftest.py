@@ -15,6 +15,24 @@ from repro.rrsets.uniform import UniformRRSampler
 
 
 @pytest.fixture
+def pool_from_slots(monkeypatch):
+    """``pool_from_slots(graph, slots=256)`` sends every slot call on
+    ``graph`` of at least ``slots`` slots to the worker pool.
+
+    ``run_slot_shards`` keeps a call in-process while its slots times its
+    graph's mean in-degree stay below ``_INLINE_WORK``; on the small graphs
+    of the pool, crash, shm and fork/spawn suites that would be every call.
+    """
+    from repro.parallel import rr
+
+    def pin(graph, slots=256):
+        degree = graph.num_edges / graph.num_nodes
+        monkeypatch.setattr(rr, "_INLINE_WORK", (slots - 0.5) * degree)
+
+    return pin
+
+
+@pytest.fixture
 def path_graph():
     """A directed path 0 -> 1 -> 2 -> 3."""
     return from_edge_list([(0, 1), (1, 2), (2, 3)])

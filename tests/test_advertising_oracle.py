@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.advertising.allocation import Allocation
 from repro.advertising.oracle import ExactOracle, MonteCarloOracle, RRSetOracle
@@ -118,3 +120,57 @@ class TestRRSetOracle:
     def test_invalid_advertiser(self, rr_oracle):
         with pytest.raises(SolverError):
             rr_oracle.revenue(9, {0})
+
+
+# --------------------------------------------------------------------------- #
+# RRSetOracle exactness: every answer is scale × a set-union count
+# --------------------------------------------------------------------------- #
+@st.composite
+def _tagged_collections(draw):
+    num_nodes = draw(st.integers(1, 12))
+    num_advertisers = draw(st.integers(1, 3))
+    sets = draw(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(0, num_nodes - 1), min_size=1),
+                st.integers(0, num_advertisers - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    collection = RRCollection(num_nodes, num_advertisers)
+    for members, tag in sets:
+        collection.add(np.array(sorted(members), dtype=np.int64), tag)
+    node = st.integers(0, num_nodes - 1)
+    # Lists, so seed sets repeat nodes; the empty list is the empty set.
+    seeds = draw(st.lists(node, max_size=8))
+    return collection, sets, draw(st.integers(0, num_advertisers - 1)), seeds, draw(node)
+
+
+def _brute_force_count(sets, advertiser, seeds):
+    seeds = set(seeds)
+    return sum(1 for members, tag in sets if tag == advertiser and members & seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tagged_collections(), st.booleans(), st.floats(0.1, 10.0))
+def test_rr_oracle_is_scale_times_a_set_union_count(case, node_in_seeds, gamma):
+    collection, sets, advertiser, seeds, node = case
+    if node_in_seeds:
+        seeds = seeds + [node]
+    oracle = RRSetOracle(collection, gamma)
+    count = _brute_force_count(sets, advertiser, seeds)
+    with_node = _brute_force_count(sets, advertiser, seeds + [node])
+    # What serve's spread op reports as covered_rr_sets.
+    assert collection.coverage_count(advertiser, seeds) == count
+    assert oracle.revenue(advertiser, seeds) == oracle.scale * count
+    assert oracle.revenue(advertiser, iter(seeds)) == oracle.scale * count
+    assert oracle.marginal_revenue(advertiser, node, seeds) == (
+        oracle.scale * (with_node - count)
+    )
+    assert oracle.marginal_revenue(advertiser, node, iter(seeds)) == (
+        oracle.scale * (with_node - count)
+    )
+    if node in seeds:
+        assert oracle.marginal_revenue(advertiser, node, seeds) == 0.0

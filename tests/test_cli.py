@@ -67,6 +67,26 @@ class TestCommands:
         assert exit_code == 0
         assert "OneBatchRM" in captured.out
         assert "revenue" in captured.out
+        assert "capped at" not in captured.out  # OneBatchRM has no stopping rule
+
+    def test_solve_prints_a_binding_cap_under_the_table(self, capsys):
+        exit_code = main(
+            [
+                "solve",
+                "--dataset", "lastfm_like",
+                "--advertisers", "2",
+                "--scale", "0.1",
+                "--seed", "1",
+                "--algorithm", "RMA",
+                "--initial-rr-sets", "128",
+                "--max-rr-sets", "256",
+                "--evaluation-rr-sets", "800",
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert exit_code == 0
+        assert lines[-1].startswith("RMA: capped at θ = 256 of θ_max = ")
+        assert lines[-1].endswith("not passed") or "removed to fit" in lines[-1]
 
     def test_compare_command_runs_two_algorithms(self, capsys):
         exit_code = main(

@@ -244,3 +244,52 @@ class TestFeasibilityAtCap:
         result = rm_without_oracle(_cap_dataset().instance, params)
         assert result.metadata["seeds_removed_at_cap"] == {}
         assert result.metadata["feasible"] is False
+
+
+class TestCapNote:
+    """``SolverResult.cap_note`` says when a sample cap, not RMA's own
+    stopping rule, ended the solve."""
+
+    @staticmethod
+    def _result(**meta):
+        from repro.advertising.allocation import Allocation
+        from repro.core.result import SolverResult
+
+        metadata = dict(
+            rr_sets=4096, rr_set_cap=4096, theta_max_theoretical=7.9e6,
+            beta=0.5, **{"lambda": 0.083}, epsilon=0.08, feasible=False,
+            seeds_removed_at_cap={},
+        )
+        metadata.update(meta)
+        return SolverResult(allocation=Allocation(2), revenue=1.0, metadata=metadata)
+
+    def test_states_the_cap_and_the_failed_check(self):
+        assert self._result().cap_note == (
+            "capped at θ = 4,096 of θ_max = 7.9M; budget check not passed"
+        )
+        note = self._result(beta=0.0, seeds_removed_at_cap={0: 2, 1: 1}).cap_note
+        assert note == (
+            "capped at θ = 4,096 of θ_max = 7.9M; ratio test and budget check "
+            "not passed; 3 seeds removed to fit the budgets"
+        )
+        assert "θ_max = 12,001;" in self._result(theta_max_theoretical=12000.5).cap_note
+
+    def test_silent_when_no_cap_bound(self):
+        assert self._result(feasible=True).cap_note is None  # stopped by its rule
+        assert self._result(rr_sets=2048).cap_note is None  # below the cap
+        assert self._result(rr_set_cap=8e6).cap_note is None  # the cap is θ_max
+        from repro.advertising.allocation import Allocation
+        from repro.core.result import SolverResult
+
+        assert SolverResult(allocation=Allocation(2), revenue=1.0).cap_note is None
+
+    def test_a_capped_rma_solve_reports_it(self):
+        result = rm_without_oracle(
+            _cap_dataset().instance, quick_params(initial_rr_sets=64, max_rr_sets=128)
+        )
+        meta = result.metadata
+        assert meta["rr_sets"] == meta["rr_set_cap"] == 128
+        if meta["feasible"] and meta["beta"] >= meta["lambda"] - meta["epsilon"]:
+            assert result.cap_note is None
+        else:
+            assert result.cap_note.startswith("capped at θ = 128 of θ_max = ")

@@ -351,6 +351,11 @@ class TestCollectionFromShards:
 # uniform sampler sharding
 # --------------------------------------------------------------------------- #
 class TestUniformSamplerSharded:
+    @pytest.fixture(autouse=True)
+    def _sharded(self, micro_graph, pool_from_slots):
+        # Slot calls of 256+ slots go to the pool, so n_jobs really shards them.
+        pool_from_slots(micro_graph)
+
     def _sampler(self, graph, probabilities, seed, n_jobs):
         # The seed policy keeps n_jobs=None meaning "serial" (the fast
         # default would resolve it to all cores); explicit n_jobs wins.
@@ -603,8 +608,10 @@ class TestEndToEnd:
         )
         assert first.metadata["rr_sets"] == second.metadata["rr_sets"]
 
-    def test_run_algorithm_fast_policy(self, dataset):
+    def test_run_algorithm_fast_policy(self, dataset, pool_from_slots):
         from repro.experiments.runner import run_algorithm
+
+        pool_from_slots(dataset.instance.graph)
 
         params = SamplingParameters(initial_rr_sets=128, max_rr_sets=256, seed=1)
         run = run_algorithm(
@@ -619,8 +626,10 @@ class TestEndToEnd:
         # an explicit policy copies the caller's parameters instead of mutating them
         assert params.policy is None
 
-    def test_run_algorithm_pinned_jobs(self, dataset):
+    def test_run_algorithm_pinned_jobs(self, dataset, pool_from_slots):
         from repro.experiments.runner import run_algorithm
+
+        pool_from_slots(dataset.instance.graph)
 
         run = run_algorithm(
             "RMA",

@@ -208,6 +208,11 @@ def _collection_signature(collection):
 
 
 class TestJobsIndependence:
+    @pytest.fixture(autouse=True)
+    def _sharded(self, graph, pool_from_slots):
+        # Slot calls of 256+ slots go to the pool, so n_jobs really shards them.
+        pool_from_slots(graph)
+
     def test_uniform_sampler_collections(self, graph, probabilities, monkeypatch):
         signatures = set()
         edges = set()
@@ -276,7 +281,8 @@ class TestJobsIndependence:
         assert len(states) == 1
 
     @pytest.mark.parametrize("algorithm", ["RMA", "TI-CARM"])
-    def test_solve_output(self, dataset, algorithm, monkeypatch):
+    def test_solve_output(self, dataset, algorithm, monkeypatch, pool_from_slots):
+        pool_from_slots(dataset.instance.graph)
         outputs = set()
         for n_jobs in _jobs_variants(monkeypatch):
             policy = ExecutionPolicy.fast(n_jobs=n_jobs)

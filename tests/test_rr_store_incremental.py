@@ -322,7 +322,10 @@ def _count_pool_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_pool_and_inline_maintenance_are_bit_identical(micro_graph, engine, monkeypatch):
+def test_pool_and_inline_maintenance_are_bit_identical(
+    micro_graph, engine, monkeypatch, pool_from_slots
+):
+    pool_from_slots(micro_graph)
     inline_policy = ExecutionPolicy(rr_engine=engine)
     pool_policy = ExecutionPolicy(rr_engine=engine, n_jobs=2)
     inline_store = _make_store(micro_graph, seed=9, policy=inline_policy)
@@ -684,7 +687,8 @@ def _assert_slots_own_their_members(store):
     assert all(members.base is None for members in store._members)
 
 
-def test_stored_slots_are_not_views(micro_graph, monkeypatch):
+def test_stored_slots_are_not_views(micro_graph, monkeypatch, pool_from_slots):
+    pool_from_slots(micro_graph)
     _assert_slots_own_their_members(_make_store(micro_graph, count=100))
     pool_policy = ExecutionPolicy(n_jobs=2)
     with Runtime(pool_policy) as runtime:
@@ -748,11 +752,12 @@ def test_patched_snapshot_and_advanced_engine_equal_fresh_builds(micro_graph, fu
 
 
 def test_small_redraws_stay_in_process_and_whole_store_redraws_use_the_pool(
-    micro_graph, monkeypatch
+    micro_graph, monkeypatch, pool_from_slots
 ):
-    """The inline rule: a redraw of fewer than 256 slots makes no pool call,
-    a whole-store redraw of 300 slots makes exactly one — and the store
-    still equals a fresh regeneration."""
+    """With the pool pinned from 256 slots, a redraw of fewer makes no pool
+    call, a whole-store redraw of 300 slots makes exactly one — and the
+    store still equals a fresh regeneration."""
+    pool_from_slots(micro_graph)
     policy = ExecutionPolicy.fast(n_jobs=2)
     with Runtime(policy) as runtime:
         store = _make_store(micro_graph, seed=4, policy=policy, runtime=runtime)

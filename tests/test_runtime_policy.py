@@ -332,8 +332,11 @@ class TestRuntime:
             assert acquire_executor(2, other)._pool is other.pool
             other.close()
 
-    def test_pool_spawned_at_most_once_across_collections(self, dataset, monkeypatch):
+    def test_pool_spawned_at_most_once_across_collections(
+        self, dataset, monkeypatch, pool_from_slots
+    ):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
+        pool_from_slots(dataset.instance.graph)
         instance = dataset.instance
 
         def build(runtime=None):
@@ -362,8 +365,9 @@ class TestRuntime:
         assert np.array_equal(persistent.member_array, ephemeral.member_array)
         assert np.array_equal(persistent.tag_array, ephemeral.tag_array)
 
-    def test_rma_doubling_rounds_share_one_pool(self, dataset, monkeypatch):
+    def test_rma_doubling_rounds_share_one_pool(self, dataset, monkeypatch, pool_from_slots):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
+        pool_from_slots(dataset.instance.graph)
         params = SamplingParameters(
             epsilon=0.05,
             initial_rr_sets=64,
@@ -378,8 +382,11 @@ class TestRuntime:
         serial_pooling = rm_without_oracle(dataset.instance, params)  # per-call runtime
         _same_result(result, serial_pooling)
 
-    def test_ambient_runtime_is_picked_up_without_threading(self, dataset, monkeypatch):
+    def test_ambient_runtime_is_picked_up_without_threading(
+        self, dataset, monkeypatch, pool_from_slots
+    ):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
+        pool_from_slots(dataset.instance.graph)
         params = SamplingParameters(
             initial_rr_sets=256,  # slot calls of fewer than 256 run in-process
             max_rr_sets=512,
@@ -473,8 +480,9 @@ class TestRuntime:
         )
         assert pinned == sequential  # bit-identical: the legacy engine ran
 
-    def test_run_algorithm_reuses_ambient_runtime(self, dataset, monkeypatch):
+    def test_run_algorithm_reuses_ambient_runtime(self, dataset, monkeypatch, pool_from_slots):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
+        pool_from_slots(dataset.instance.graph)
         params = SamplingParameters(
             initial_rr_sets=128,
             max_rr_sets=256,

@@ -69,7 +69,8 @@ def server(instance):
 
 
 #: A delta that grows the node space, so its batch redraws the whole store —
-#: 300 slots, enough to run on the pool (smaller redraws run in-process).
+#: 300 slots, enough to run on the pool once a test pins it from 256 slots
+#: (smaller redraws run in-process).
 GROW = {"kind": "add_node", "count": 1}
 
 
@@ -262,7 +263,8 @@ class TestDeadlines:
         assert reply["error"]["code"] == "deadline-exceeded"
         assert slow.wait(30)["ok"] is True
 
-    def test_sharded_deadline_through_supervision(self, instance):
+    def test_sharded_deadline_through_supervision(self, instance, pool_from_slots):
+        pool_from_slots(instance.graph)
         # The deadline must cut through *pool* work: a wildcard delay fault
         # stalls the redraw shard past the deadline, the per-request
         # fail-fast override surfaces it, and the server answers a
@@ -451,7 +453,8 @@ class TestCrashBitIdentity:
             crashes = srv.runtime.recovery_stats.worker_crashes
         return first, second, crashes
 
-    def test_allocation_reply_bit_identical_under_worker_crash(self, instance):
+    def test_allocation_reply_bit_identical_under_worker_crash(self, instance, pool_from_slots):
+        pool_from_slots(instance.graph)
         clean_refresh, clean_alloc, clean_crashes = self._run_session(
             instance, inject_crash=False
         )

@@ -174,13 +174,14 @@ class TestBitIdentity:
                 pool.close()
         assert spreads["pickle"] == spreads["shm"]
 
-    def test_greedy_allocations(self, start_method):
+    def test_greedy_allocations(self, start_method, pool_from_slots):
         from repro.datasets.registry import build_dataset
 
         dataset = build_dataset(
             "lastfm_like", num_advertisers=3, scale=0.15, seed=1,
             singleton_rr_sets=200,
         )
+        pool_from_slots(dataset.instance.graph)
         results = {}
         for mode in ("pickle", "shm"):
             params = SamplingParameters(
@@ -299,8 +300,9 @@ class TestServeDrain:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--dataset", "lastfm_like", "--scale", "0.05",
-                "--advertisers", "2", "--rr-sets", "300", "--seed", "11",
+                # A 4,000-slot store on 450 nodes: enough work to use the pool.
+                "--dataset", "flixster_like", "--scale", "0.3",
+                "--advertisers", "2", "--rr-sets", "4000", "--seed", "11",
                 "--jobs", "2", "--payload", "shm",
             ],
             stdin=subprocess.PIPE,
@@ -313,7 +315,7 @@ class TestServeDrain:
             for line in proc.stderr:
                 if "serving:" in line:
                     break
-            # The 300-slot store was drawn on the pool, through shared memory.
+            # The store was drawn on the pool, through shared memory.
             assert _new_segments(segment_baseline)
             proc.stdin.write(json.dumps({"op": "allocate", "id": 1, "tau": 0.1}) + "\n")
             proc.stdin.flush()
