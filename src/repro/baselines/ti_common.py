@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -51,9 +51,10 @@ class TIParameters:
 
     ``policy`` is the configuration channel
     (:class:`repro.runtime.ExecutionPolicy`): ``rr_engine`` selects the
-    engine of the bulk pool fill — hashed slots under ``fast()``, so the
-    pools do not depend on ``n_jobs`` — and ``n_jobs`` shards it across
-    worker processes (the small pilot pools stay serial).  ``None`` defaults to
+    engine of the pilot pools and the bulk pool fills — hashed slots under
+    ``fast()``, so the pools do not depend on ``n_jobs`` — and ``n_jobs``
+    shards the fills across worker processes (a pilot is too small for the
+    pool and is drawn in-process).  ``None`` defaults to
     :meth:`ExecutionPolicy.fast`; pass :meth:`ExecutionPolicy.seed` for the
     serial seed-stream reference path.
     """
@@ -82,12 +83,18 @@ class TIParameters:
 
 
 class _AdvertiserPool:
-    """Per-advertiser RR-set pool and its revenue-per-covered-set scale."""
+    """Per-advertiser RR-set pool, flat, and its revenue-per-covered-set scale.
 
-    def __init__(self, rr_sets: List[np.ndarray], num_nodes: int, cpe: float):
-        self.rr_sets = rr_sets
+    ``members`` is every set's members concatenated and ``sizes`` the
+    per-set cardinalities, the layout :meth:`RRCollection.from_shards`
+    takes.
+    """
+
+    def __init__(self, members: np.ndarray, sizes: np.ndarray, num_nodes: int, cpe: float):
+        self.members = members
+        self.sizes = sizes
         self.cpe = cpe
-        self.scale = cpe * num_nodes / max(1, len(rr_sets))
+        self.scale = cpe * num_nodes / max(1, len(sizes))
 
 
 def _build_pools(
@@ -102,47 +109,53 @@ def _build_pools(
     generated_total = 0
     for advertiser in range(instance.num_advertisers):
         seed_count = estimate_max_seed_count(instance, advertiser)
-        pilot = pilot_pool(instance, advertiser, size=params.pilot_size, rng=rng)
+        generator = RRSetGenerator(
+            instance.graph, instance.edge_probabilities(advertiser)
+        )
+        pilot = pilot_pool(
+            instance,
+            advertiser,
+            size=params.pilot_size,
+            rng=rng,
+            generator=generator,
+            policy=policy,
+            runtime=runtime,
+        )
         kpt = estimate_kpt(pilot, instance.num_nodes, seed_count)
         required = tim_sample_size(
             instance.num_nodes, seed_count, kpt, params.epsilon, params.delta
         )
         required_total += required
         pool_size = min(required, params.max_rr_sets_per_advertiser)
-        generator = RRSetGenerator(
-            instance.graph, instance.edge_probabilities(advertiser)
-        )
-        rr_sets = list(pilot)
-        if pool_size > len(rr_sets):
-            rr_sets.extend(
-                generator.generate_batch_parallel(
-                    pool_size - len(rr_sets), rng, runtime=runtime, policy=policy
-                )
+        if pool_size > len(pilot):
+            fill = generator.generate_batch_parallel(
+                pool_size - len(pilot), rng, runtime=runtime, policy=policy
             )
+            members = np.concatenate((pilot.members, fill.members))
+            sizes = np.concatenate((pilot.sizes, fill.sizes))
         else:
-            rr_sets = rr_sets[:pool_size]
-        generated_total += len(rr_sets)
+            sizes = pilot.sizes[:pool_size]
+            members = pilot.members[: int(sizes.sum())]
+        generated_total += len(sizes)
         pools[advertiser] = _AdvertiserPool(
-            rr_sets, instance.num_nodes, instance.cpe(advertiser)
+            members, sizes, instance.num_nodes, instance.cpe(advertiser)
         )
+    generated_bytes = sum(pool.members.size * 8 for pool in pools.values())
     diagnostics = {
         "required_rr_sets_total": required_total,
         "generated_rr_sets_total": generated_total,
-        "memory_proxy_bytes": sum(
-            sum(rr.size for rr in pool.rr_sets) * 8 for pool in pools.values()
-        ),
+        "memory_proxy_bytes": generated_bytes,
         "required_memory_proxy_bytes": _required_memory_proxy(
-            pools, required_total, generated_total
+            generated_bytes, required_total, generated_total
         ),
     }
     return pools, diagnostics
 
 
 def _required_memory_proxy(
-    pools: Dict[int, _AdvertiserPool], required_total: int, generated_total: int
+    generated_bytes: int, required_total: int, generated_total: int
 ) -> float:
     """Memory the baselines *would* need without the per-advertiser cap."""
-    generated_bytes = sum(sum(rr.size for rr in pool.rr_sets) * 8 for pool in pools.values())
     if generated_total == 0:
         return 0.0
     return generated_bytes * (required_total / generated_total)
@@ -170,12 +183,11 @@ def _run_allocation(
         h,
         [
             (
-                np.concatenate(pools[advertiser].rr_sets),
-                np.fromiter((s.size for s in pools[advertiser].rr_sets), dtype=np.int64),
-                np.full(len(pools[advertiser].rr_sets), advertiser, dtype=np.int64),
+                pools[advertiser].members,
+                pools[advertiser].sizes,
+                np.full(len(pools[advertiser].sizes), advertiser, dtype=np.int64),
             )
             for advertiser in range(h)
-            if pools[advertiser].rr_sets
         ],
     )
     state = CoverageState(combined)
@@ -198,7 +210,9 @@ def _run_allocation(
     membership_flat = combined.membership_counts().ravel()
     all_keys = np.arange(h * n, dtype=np.int64)
     feasible = cost_flat + scale_flat * membership_flat <= np.repeat(budgets, n)
-    heap = BatchedLazyGreedy(batch_values)
+    # A plain gather whose values change only across advance_round: a pure
+    # heap parks the zero-valued keys in its FIFO zero tail.
+    heap = BatchedLazyGreedy(batch_values, pure=True)
     heap.push_array(all_keys[feasible])
 
     allocation = Allocation(h)
@@ -267,7 +281,7 @@ def run_ti_baseline(
     # checking budget feasibility (Hoeffding bound on the coverage fraction).
     penalties = {}
     for advertiser, pool in pools.items():
-        pool_size = max(1, len(pool.rr_sets))
+        pool_size = max(1, len(pool.sizes))
         fraction_error = math.sqrt(math.log(2.0 * h / params.delta) / (2.0 * pool_size))
         penalties[advertiser] = pool.cpe * instance.num_nodes * min(
             fraction_error, params.epsilon

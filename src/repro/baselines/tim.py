@@ -12,15 +12,17 @@ what makes the baselines' memory and running time blow up as ε shrinks
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.advertising.instance import RMInstance
 from repro.exceptions import SolverError
-from repro.rrsets.estimators import coverage_counts_by_node
-from repro.rrsets.generator import RRSetGenerator
+from repro.rrsets.generator import RRSetBatch, RRSetGenerator
 from repro.utils.rng import RandomSource, as_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime import ExecutionPolicy, Runtime
 
 
 def estimate_max_seed_count(instance: RMInstance, advertiser: int) -> int:
@@ -36,7 +38,7 @@ def estimate_max_seed_count(instance: RMInstance, advertiser: int) -> int:
 
 
 def estimate_kpt(
-    rr_sets: Sequence[np.ndarray],
+    rr_sets: RRSetBatch,
     num_nodes: int,
     seed_count: int,
 ) -> float:
@@ -44,12 +46,14 @@ def estimate_kpt(
 
     Greedy max-coverage over the pilot pool gives a lower bound on the
     optimal coverage, whose scaled value lower-bounds the optimal spread.
+    Every engine returns sorted, duplicate-free sets, so one ``np.bincount``
+    over the pool's flat members counts the sets containing each node.
     """
-    if not rr_sets:
+    if not len(rr_sets):
         raise SolverError("KPT estimation needs a non-empty pilot pool")
     if seed_count <= 0:
         raise SolverError("seed_count must be positive")
-    counts = coverage_counts_by_node(rr_sets, num_nodes)
+    counts = np.bincount(rr_sets.members, minlength=num_nodes)
     # Greedy on singleton counts (no overlap correction) is a cheap lower bound
     # surrogate; it only has to get the order of magnitude right.
     top = np.sort(counts)[::-1][:seed_count]
@@ -85,9 +89,26 @@ def pilot_pool(
     advertiser: int,
     size: int = 256,
     rng: RandomSource = None,
-) -> list[np.ndarray]:
-    """Generate the pilot RR-set pool used for KPT estimation."""
+    *,
+    generator: Optional[RRSetGenerator] = None,
+    policy: Optional["ExecutionPolicy"] = None,
+    runtime: Optional["Runtime"] = None,
+) -> RRSetBatch:
+    """Generate the pilot RR-set pool used for KPT estimation.
+
+    ``generator`` is the advertiser's generator, which the pool fill then
+    reuses (a fresh one when ``None``).  Under the hashed engine
+    (``policy.rr_engine == "subsim"``) the pilot is slots ``[0, size)`` of
+    :meth:`RRSetGenerator.generate_batch_parallel` — a pilot is small
+    enough to be drawn in-process, so it never reaches the pool.
+    Otherwise it is :meth:`RRSetGenerator.generate_many` on ``rng``'s
+    stream, the ``seed()`` reference path.
+    """
     if size <= 0:
         raise SolverError("pilot pool size must be positive")
-    generator = RRSetGenerator(instance.graph, instance.edge_probabilities(advertiser))
-    return generator.generate_many(size, as_rng(rng))
+    if generator is None:
+        generator = RRSetGenerator(instance.graph, instance.edge_probabilities(advertiser))
+    rng = as_rng(rng)
+    if policy is not None and policy.rr_engine == "subsim":
+        return generator.generate_batch_parallel(size, rng, runtime=runtime, policy=policy)
+    return RRSetBatch.from_sets(generator.generate_many(size, rng))

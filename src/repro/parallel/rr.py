@@ -5,13 +5,13 @@ Two shard workers back the RR consumers:
 * :func:`run_slot_shards` draws RR-set *slots* — pure functions of
   ``(entropy, slot)`` (:mod:`repro.rrsets.slots`) — for
   :meth:`repro.rrsets.uniform.UniformRRSampler.generate_collection`, the
-  ``fast()`` TI pool fill behind
+  ``fast()`` TI pilots and pool fills behind
   :meth:`repro.rrsets.generator.RRSetGenerator.generate_batch_parallel`
   and :class:`repro.rrsets.store.RRStore`.  The call's work decides where
   it runs: below :data:`_INLINE_WORK` slots × mean in-degree it is drawn
-  in-process as one piece (RMA's doubling rounds on small graphs, store
-  redraws); above, it is cut into contiguous pieces, one per shard
-  (TI-CARM's pool fills, whole stores, evaluators).  Since no slot depends
+  in-process as one piece (RMA's doubling rounds on small graphs, TI
+  pilots, store redraws); above, it is cut into contiguous pieces, one per
+  shard (TI-CARM's pool fills, whole stores, evaluators).  Since no slot depends
   on another, the merged result is the same either way and for every shard
   layout.
 * :func:`run_generation_shards` is the per-set stream path of
@@ -48,6 +48,7 @@ from repro.parallel.executor import (
     shard_counts,
 )
 from repro.rrsets.collection import split_by_sizes
+from repro.rrsets.generator import RRSetBatch
 from repro.rrsets.slots import slot_engine
 from repro.utils.rng import RandomSource, spawn_rngs
 
@@ -66,6 +67,16 @@ class GenerationShard(NamedTuple):
 def split_flat(members: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
     """Views of ``members`` per RR-set (no copies; the CSR inverse of a shard)."""
     return split_by_sizes(members, sizes)
+
+
+def merge_shards(shards) -> RRSetBatch:
+    """The shards' RR-sets in shard order, as one :class:`RRSetBatch`."""
+    if len(shards) == 1:
+        return RRSetBatch.from_flat(shards[0].members, shards[0].sizes)
+    return RRSetBatch.from_flat(
+        np.concatenate([shard.members for shard in shards]),
+        np.concatenate([shard.sizes for shard in shards]),
+    )
 
 
 def _generate_shard(payload, shard) -> GenerationShard:
@@ -119,12 +130,11 @@ def generate_batch_sharded(
     count: int,
     rng: RandomSource,
     executor: ShardedExecutor,
-) -> List[np.ndarray]:
+) -> RRSetBatch:
     """Sharded equivalent of ``generator.generate_batch(count, rng)``.
 
-    Returns the merged per-RR-set arrays in shard order and folds the
-    workers' ``edges_examined`` counters back into ``generator``.  The
-    returned arrays are views into each shard's flat buffer.
+    Returns the RR-sets merged in shard order and folds the workers'
+    ``edges_examined`` counters back into ``generator``.
     """
     shards = run_generation_shards(
         type(generator),
@@ -134,11 +144,9 @@ def generate_batch_sharded(
         rng,
         executor,
     )
-    rr_sets: List[np.ndarray] = []
     for shard in shards:
-        rr_sets.extend(split_flat(shard.members, shard.sizes))
         generator.record_edges_examined(shard.edges_examined)
-    return rr_sets
+    return merge_shards(shards)
 
 
 
@@ -146,11 +154,12 @@ def generate_batch_sharded(
 #: A slot call whose work — its slots times its graph's mean in-degree — is
 #: below this is drawn in-process: a pool round trip (dispatch, result
 #: pickling, merge) costs a few milliseconds, more than such a draw.  The
-#: work orders the calls as the in-edges they examine do: a redraw of 255
-#: slots on a 10k-node graph (2.7k), RMA's largest doubling round on the
-#: 300-node perfbench graph (2,048 slots, 15k), then a 4,000-slot store on
-#: 450 nodes (37k), TI-CARM's pool fills on 10k nodes (3,968 slots, 42k) and
-#: a 10,000-slot evaluator on 300 nodes (74k).  On a 2-core host with a warm
+#: work orders the calls as the in-edges they examine do: a TI-CARM pilot
+#: of 128 slots on a 10k-node graph (1.4k), a redraw of 255 slots there
+#: (2.7k), RMA's largest doubling round on the 300-node perfbench graph
+#: (2,048 slots, 15k), then a 4,000-slot store on 450 nodes (37k),
+#: TI-CARM's pool fills on 10k nodes (3,968 slots, 42k) and a 10,000-slot
+#: evaluator on 300 nodes (74k).  On a 2-core host with a warm
 #: 2-worker pool, RMA's round takes 5.6 ms in-process against 8.6 ms pooled.
 _INLINE_WORK = 24_000
 

@@ -21,9 +21,10 @@ with a frozen CSR view built lazily on first query and invalidated by
   with CSR offsets (RR-set ``k`` is ``member_array[set_offsets[k]:set_offsets[k+1]]``);
 * ``tag_array`` — the advertiser tag of every RR-set;
 * an inverted index from ``(advertiser, node)`` to the RR-sets containing
-  the node under that tag, built in **one** stable ``np.argsort`` over the
-  flattened keys ``tag·n + node`` and queried with two ``np.searchsorted``
-  calls — replacing the seed implementation's per-node dict appends.
+  the node under that tag, built by **one** plain ``np.sort`` of the unique
+  composite keys ``(tag·n + node)·count + set`` and sliced by per-key
+  offsets from one ``np.bincount`` — replacing the seed implementation's
+  per-node dict appends.
 
 :class:`CoverageState` maintains the greedy marginal counts on a flat
 ``(h·n,)`` int64 array (conceptually the ``(h, n)`` marginal matrix) plus a
@@ -48,6 +49,7 @@ import numpy as np
 from repro.exceptions import SamplingError
 
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def split_by_sizes(flat: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
@@ -279,16 +281,26 @@ class RRCollection:
     def _build_csr(self, flat: np.ndarray, sizes: np.ndarray, tags: np.ndarray) -> None:
         """Build the CSR view + inverted index from pre-flattened arrays."""
         count = int(sizes.size)
+        if self._num_advertisers * self._num_nodes * count > _INT64_MAX:
+            raise SamplingError(
+                f"{count} RR-sets over {self._num_advertisers}×{self._num_nodes} "
+                "(advertiser, node) keys overflow the int64 inverted-index keys"
+            )
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         keys = np.repeat(tags, sizes) * self._num_nodes + flat
-        # Stable sort keeps RR-set indices ascending within each key, matching
-        # the append order of the seed implementation's per-node lists.
-        order = np.argsort(keys, kind="stable")
+        # One plain sort of the unique composite keys key·count + set index
+        # orders the entries by key and, within a key, by ascending RR-set
+        # index — the append order of the seed implementation's per-node
+        # lists, which a stable argsort of the keys would also give.
+        composite = keys * count
+        composite += np.repeat(np.arange(count, dtype=np.int64), sizes)
+        composite.sort()
+        composite %= max(count, 1)
         self._member_array = flat
         self._set_offsets = offsets
         self._tag_array = tags
-        self._inverted_sets = np.repeat(np.arange(count, dtype=np.int64), sizes)[order]
+        self._inverted_sets = composite
         # Keys are dense ints in [0, h·n), so one bincount yields both the
         # membership-count matrix and the per-key slice offsets — queries
         # become plain indexing, no per-query searchsorted.

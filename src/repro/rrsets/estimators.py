@@ -18,7 +18,8 @@ from repro.rrsets.collection import RRCollection
 Allocation = Mapping[int, Iterable[int]]
 
 
-def _scale(collection: RRCollection, gamma: float) -> float:
+def revenue_scale(collection: RRCollection, gamma: float) -> float:
+    """Revenue per covered RR-set, ``nΓ / |R|``: revenue is this × a coverage count."""
     if len(collection) == 0:
         raise SamplingError("cannot estimate from an empty RR-set collection")
     if gamma <= 0:
@@ -36,7 +37,7 @@ def estimate_total_revenue(
     covered = 0
     for advertiser, seeds in allocation.items():
         covered += collection.coverage_count(advertiser, seeds)
-    return _scale(collection, gamma) * covered
+    return revenue_scale(collection, gamma) * covered
 
 
 def estimate_advertiser_revenue(
@@ -44,7 +45,7 @@ def estimate_advertiser_revenue(
 ) -> float:
     """Estimate ``π_i(S_i)`` for one advertiser."""
     covered = collection.coverage_count(advertiser, seeds)
-    return _scale(collection, gamma) * covered
+    return revenue_scale(collection, gamma) * covered
 
 
 def estimate_marginal_revenue(
@@ -64,7 +65,7 @@ def estimate_marginal_revenue(
         additional = np.count_nonzero(~np.isin(containing, already))
     else:
         additional = containing.size
-    return _scale(collection, gamma) * additional
+    return revenue_scale(collection, gamma) * additional
 
 
 def estimate_spread(

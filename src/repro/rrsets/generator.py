@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRDiGraph
+from repro.rrsets.collection import split_by_sizes
 from repro.utils.rng import RandomSource, as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,6 +73,33 @@ class RRProvenance(NamedTuple):
 
     root: int
     edges_examined: int
+
+
+class RRSetBatch(list):
+    """RR-sets as a list, which also holds them as one flat pair.
+
+    ``members`` is every set's members concatenated and ``sizes`` the
+    per-set cardinalities — the ``(members, sizes)`` layout
+    :meth:`repro.rrsets.collection.RRCollection.from_shards` takes — so a
+    consumer that wants the flat arrays does not concatenate the list back.
+    """
+
+    def __init__(self, rr_sets: List[np.ndarray], members: np.ndarray, sizes: np.ndarray):
+        super().__init__(rr_sets)
+        self.members = members
+        self.sizes = sizes
+
+    @classmethod
+    def from_flat(cls, members: np.ndarray, sizes: np.ndarray) -> "RRSetBatch":
+        """The batch whose sets are views of ``members`` cut by ``sizes``."""
+        return cls(split_by_sizes(members, sizes), members, sizes)
+
+    @classmethod
+    def from_sets(cls, rr_sets: List[np.ndarray]) -> "RRSetBatch":
+        """The batch of ``rr_sets``, concatenated once into the flat pair."""
+        sizes = np.fromiter((s.size for s in rr_sets), dtype=np.int64, count=len(rr_sets))
+        members = np.concatenate(rr_sets) if rr_sets else np.empty(0, dtype=np.int64)
+        return cls(rr_sets, members, sizes)
 
 
 class RRSetGenerator:
@@ -190,7 +218,7 @@ class RRSetGenerator:
         n_jobs: Optional[int] = None,
         runtime: Optional["Runtime"] = None,
         policy: Optional["ExecutionPolicy"] = None,
-    ) -> List[np.ndarray]:
+    ) -> RRSetBatch:
         """Generate ``count`` RR-sets, sharded across ``n_jobs`` worker processes.
 
         ``policy`` picks the engine.  Under ``rr_engine == "subsim"`` (the
@@ -208,11 +236,12 @@ class RRSetGenerator:
 
         ``runtime`` (or the ambient :func:`repro.runtime.current_runtime`)
         supplies a persistent worker pool reused across calls; results are
-        bit-identical with or without one.
+        bit-identical with or without one.  The sets come back as an
+        :class:`RRSetBatch`: a list that also holds its flat arrays.
         """
         if count < 0:
             raise SamplingError("count must be non-negative")
-        from repro.parallel.rr import generate_batch_sharded, run_slot_shards, split_flat
+        from repro.parallel.rr import generate_batch_sharded, merge_shards, run_slot_shards
         from repro.runtime import acquire_executor
 
         if n_jobs is None and policy is not None:
@@ -223,13 +252,11 @@ class RRSetGenerator:
             shards = run_slot_shards(
                 None, self._graph, self._probabilities, None, entropy, (0, count), executor
             )
-            rr_sets: List[np.ndarray] = []
             for shard in shards:
-                rr_sets.extend(split_flat(shard.members, shard.sizes))
                 self.record_edges_examined(int(shard.edges_examined.sum()))
-            return rr_sets
+            return merge_shards(shards)
         if executor.n_jobs <= 1 or count <= 1:
-            return self.generate_batch(count, rng)
+            return RRSetBatch.from_sets(self.generate_batch(count, rng))
         return generate_batch_sharded(self, count, rng, executor)
 
     # ------------------------------------------------------------------ #

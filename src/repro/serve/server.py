@@ -69,7 +69,7 @@ from repro.exceptions import (
 )
 from repro.graph.deltas import MutableGraphView
 from repro.parallel.failure import FailurePolicy
-from repro.rrsets.estimators import estimate_advertiser_revenue
+from repro.rrsets.estimators import revenue_scale
 from repro.rrsets.store import RRStore
 from repro.runtime import ExecutionPolicy, Runtime, resolve_policy
 from repro.serve import protocol
@@ -656,14 +656,14 @@ class AllocationServer:
                 )
             seeds.append(node)
         collection = self._store.collection
-        revenue = estimate_advertiser_revenue(
-            collection, advertiser, seeds, self._store.gamma
-        )
+        # One count feeds both fields; revenue is estimate_advertiser_revenue's
+        # expression on it.
+        covered = collection.coverage_count(advertiser, seeds)
         return {
             "advertiser": advertiser,
             "seeds": sorted(set(seeds)),
-            "revenue": revenue,
-            "covered_rr_sets": collection.coverage_count(advertiser, seeds),
+            "revenue": revenue_scale(collection, self._store.gamma) * covered,
+            "covered_rr_sets": covered,
             "rr_sets": len(collection),
         }
 

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -183,23 +183,29 @@ class BatchedLazyGreedy:
         else:
             values = np.asarray(values, dtype=np.float64)
         key_list = key_array.tolist()
-        value_list = values.tolist()
+        self._members.update(zip(key_list, values.tolist()))
         base = self._next_counter
         self._next_counter = base + len(key_list)
-        entries = [
-            (-value, base + offset, key, self._round)
-            for offset, (key, value) in enumerate(zip(key_list, value_list))
-        ]
+        counters = range(base, self._next_counter)
         if self._pure:
-            self._zeros.extend(entry[2] for entry in entries if entry[0] == 0.0)
-            entries = [entry for entry in entries if entry[0] != 0.0]
+            zero = values == 0.0
+            if zero.any():
+                # Zeros join the tail in insertion order; the rest keep the
+                # counters of their insertion positions.
+                self._zeros.extend(key_array[zero].tolist())
+                live = np.flatnonzero(~zero)
+                key_list = key_array[live].tolist()
+                values = values[live]
+                counters = (live + base).tolist()
+        entries = list(
+            zip((-values).tolist(), counters, key_list, repeat(self._round, len(key_list)))
+        )
         if self._heap:
             for entry in entries:
                 heapq.heappush(self._heap, entry)
         else:
             self._heap = entries
             heapq.heapify(self._heap)
-        self._members.update(zip(key_list, value_list))
 
     def remove(self, key: int) -> None:
         """Remove ``key``; it will be skipped when it surfaces."""

@@ -127,3 +127,81 @@ class TestTIBaselines:
                 total += oracle.revenue(advertiser, seeds) if seeds else 0.0
             return total / topic_instance.budgets().sum()
         assert usage(rma_result) >= usage(ti_result) * 0.8
+
+
+class TestHashedPools:
+    """Under ``fast()`` a TI solve draws only hashed slots, wherever it runs."""
+
+    @pytest.fixture(scope="class")
+    def flixster(self):
+        from repro.datasets.registry import build_dataset
+
+        return build_dataset(
+            "flixster_like", num_advertisers=2, scale=0.05, seed=7, singleton_rr_sets=50
+        )
+
+    def test_fast_solve_never_runs_the_per_set_traversal(self, flixster, monkeypatch):
+        from repro.rrsets.generator import RRSetGenerator
+        from repro.runtime import ExecutionPolicy
+
+        def refuse(self, root, rng):
+            raise AssertionError("per-set traversal reached under fast()")
+
+        monkeypatch.setattr(RRSetGenerator, "_reverse_traverse", refuse)
+        params = quick_ti(
+            pilot_size=64, max_rr_sets_per_advertiser=512,
+            policy=ExecutionPolicy.fast(n_jobs=1),
+        )
+        result = ti_carm(flixster.instance, params)
+        assert result.metadata["generated_rr_sets_total"] == 2 * 512
+
+    def test_hashed_pilots_do_not_depend_on_n_jobs(self, flixster):
+        from repro.runtime import ExecutionPolicy
+
+        pilots = []
+        for n_jobs in (1, 2, 3, -1):
+            pilot = pilot_pool(
+                flixster.instance, 1, size=300, rng=9,
+                policy=ExecutionPolicy.fast(n_jobs=n_jobs),
+            )
+            assert len(pilot) == pilot.sizes.size == 300
+            assert [rr.tolist() for rr in pilot] == [
+                rr.tolist() for rr in np.split(pilot.members, np.cumsum(pilot.sizes)[:-1])
+            ]
+            pilots.append((pilot.members.tolist(), pilot.sizes.tolist()))
+        assert all(pilot == pilots[0] for pilot in pilots)
+
+    @pytest.mark.parametrize("solver", [ti_carm, ti_csrm])
+    def test_allocation_does_not_depend_on_n_jobs(
+        self, flixster, solver, pool_from_slots, monkeypatch
+    ):
+        from repro.parallel.executor import PersistentPool
+        from repro.runtime import ExecutionPolicy
+
+        # Fills of ≥ 256 slots go to the pool; the 64-slot pilots never do.
+        pool_from_slots(flixster.instance.graph)
+        pool_calls = []
+        original = PersistentPool.run
+
+        def counted(self, *args, **kwargs):
+            pool_calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PersistentPool, "run", counted)
+        results = []
+        for n_jobs in (1, 2, 3, -1):
+            pool_calls.clear()
+            params = quick_ti(
+                pilot_size=64, max_rr_sets_per_advertiser=512,
+                policy=ExecutionPolicy.fast(n_jobs=n_jobs),
+            )
+            result = solver(flixster.instance, params)
+            if n_jobs == 2:
+                assert len(pool_calls) == flixster.instance.num_advertisers
+            results.append((
+                {advertiser: sorted(seeds) for advertiser, seeds in result.allocation.items()},
+                result.revenue,
+                result.metadata,
+            ))
+        assert all(result == results[0] for result in results)
+

@@ -91,8 +91,9 @@ def test_hooks_install_drive_and_uninstall_cleanly():
         )
         names = {span.name for span in tracer.spans}
         assert {"baselines.ti", "rrsets.sample", "rrsets.merge"} <= names
-        # Two pools of 64 - 16 hashed sets, plus the evaluator's 200.
-        assert tracer.counters["rrsets.rr_sets"] == 2 * 48 + 200
+        # Two pools of 64 hashed sets (a 16-set pilot and a 48-set fill,
+        # both drawn through the hook), plus the evaluator's 200.
+        assert tracer.counters["rrsets.rr_sets"] == 2 * 64 + 200
         assert tracer.counters["rrsets.edges_examined"] > 0
     finally:
         tracer.uninstall()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SamplingError
 from repro.rrsets.collection import CoverageState, RRCollection
@@ -159,6 +161,74 @@ class TestShardAndCompactAPI:
     def test_compact_everything_dropped_is_empty(self, collection):
         compacted = collection.compact(drop=range(len(collection)))
         assert len(compacted) == 0
+
+
+@st.composite
+def tagged_collections(draw):
+    """``(n, h, sets, tags)``: sorted, duplicate-free sets over ``n`` nodes."""
+    n = draw(st.integers(1, 12))
+    h = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 30))
+    sets = [
+        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        for _ in range(count)
+    ]
+    tags = [draw(st.integers(0, h - 1)) for _ in range(count)]
+    return n, h, sets, tags
+
+
+class TestInvertedIndex:
+    """The one-sort inverted index against a stable-argsort reference."""
+
+    @staticmethod
+    def _reference(n, h, sets, tags):
+        sizes = np.array([len(s) for s in sets], dtype=np.int64)
+        flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in sets])
+        keys = np.repeat(np.asarray(tags, dtype=np.int64), sizes) * n + flat
+        order = np.argsort(keys, kind="stable")
+        inverted = np.repeat(np.arange(len(sets), dtype=np.int64), sizes)[order]
+        counts = np.bincount(keys, minlength=h * n)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return inverted, offsets, counts.reshape(h, n)
+
+    def _check(self, n, h, sets, tags):
+        inverted, offsets, counts = self._reference(n, h, sets, tags)
+        built = [RRCollection(n, h), RRCollection(n, h)]
+        for rr_set, tag in zip(sets, tags):
+            built[0].add(rr_set, tag)  # lazy build through _ensure_csr
+        sizes = np.array([len(s) for s in sets], dtype=np.int64)
+        built[1].extend_from_shards(
+            [(np.concatenate([np.asarray(s) for s in sets]), sizes, np.asarray(tags))]
+        )
+        for collection in built:
+            np.testing.assert_array_equal(collection.membership_counts(), counts)
+            np.testing.assert_array_equal(collection._inverted_sets, inverted)
+            np.testing.assert_array_equal(collection._key_offsets, offsets)
+            for key in range(h * n):
+                advertiser, node = divmod(key, n)
+                np.testing.assert_array_equal(
+                    collection.sets_containing_array(advertiser, node),
+                    inverted[offsets[key]: offsets[key + 1]],
+                )
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tagged_collections())
+    def test_matches_stable_argsort(self, case):
+        self._check(*case)
+
+    def test_single_set(self):
+        self._check(6, 2, [[0, 2, 5]], [1])
+
+    def test_single_node(self):
+        self._check(1, 3, [[0]] * 5, [2, 0, 2, 1, 2])
+
+    def test_overflowing_keys_rejected(self):
+        # h·n·count = 2·2^62·2 = 2^64 composite keys do not fit in int64.
+        collection = RRCollection(num_nodes=1 << 62, num_advertisers=2)
+        with pytest.raises(SamplingError, match="overflow"):
+            collection.extend_from_shards(
+                [(np.array([0, 5], dtype=np.int64), np.array([1, 1]), np.array([0, 1]))]
+            )
 
 
 class TestCoverageState:

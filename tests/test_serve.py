@@ -33,6 +33,7 @@ from repro.diffusion.models import IndependentCascadeModel
 from repro.exceptions import PolicyError, ServiceError
 from repro.graph.generators import preferential_attachment_digraph
 from repro.parallel import FailurePolicy, FaultInjector
+from repro.rrsets.collection import RRCollection
 from repro.rrsets.estimators import estimate_advertiser_revenue
 from repro.runtime import ExecutionPolicy
 from repro.serve import AllocationServer, ServicePolicy, server as server_module
@@ -209,6 +210,24 @@ class TestQueries:
         )
         assert reply["result"]["revenue"] == pytest.approx(expected)
         assert reply["result"]["rr_sets"] == len(store.collection)
+
+    def test_spread_counts_coverage_once(self, server, monkeypatch):
+        store = server.store
+        seeds = [0, 3, 5, 3]
+        expected = estimate_advertiser_revenue(store.collection, 1, seeds, store.gamma)
+        covered = store.collection.coverage_count(1, seeds)
+        calls = []
+        original = RRCollection.coverage_count
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RRCollection, "coverage_count", counted)
+        reply = server.request({"op": "spread", "advertiser": 1, "seeds": seeds})
+        assert len(calls) == 1
+        assert reply["result"]["revenue"] == expected  # the same float, not approx
+        assert reply["result"]["covered_rr_sets"] == covered
 
     def test_refresh_advances_epoch_and_reports(self, server, instance):
         reply = server.request(
