@@ -31,7 +31,7 @@ Rates use one vectorized transform for both engines, elementwise identical
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set, Type
 
 import numpy as np
 
@@ -223,9 +223,12 @@ def _covers(oracle: RevenueOracle, instance: RMInstance) -> bool:
     )
 
 
+def engine_class(instance: RMInstance, oracle: RevenueOracle) -> Type[GreedyEngine]:
+    """The engine type for ``oracle``: coverage gathers for an RR-set oracle
+    that covers the instance, per-key oracle calls otherwise."""
+    return CoverageGreedyEngine if _covers(oracle, instance) else OracleGreedyEngine
+
+
 def engine_for(instance: RMInstance, oracle: RevenueOracle) -> GreedyEngine:
-    """The engine for ``oracle``: coverage gathers for an RR-set oracle that
-    covers the instance, per-key oracle calls otherwise."""
-    if _covers(oracle, instance):
-        return CoverageGreedyEngine(instance, oracle)
-    return OracleGreedyEngine(instance, oracle)
+    """A fresh engine of :func:`engine_class` for ``oracle``."""
+    return engine_class(instance, oracle)(instance, oracle)

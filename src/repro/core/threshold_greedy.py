@@ -159,8 +159,9 @@ def threshold_greedy(
     candidates:
         Candidate node pool; defaults to all nodes.
     run_fill:
-        Whether to run the final ``Fill`` pass (Line 12).  Disabled only by
-        ablation benchmarks.
+        Whether to run the final ``Fill`` pass (Line 12).  ``Search`` runs
+        it itself, once per distinct outcome, so it passes ``False``
+        (:mod:`repro.core.search`).
     """
     if gamma < 0:
         raise SolverError("gamma must be non-negative")

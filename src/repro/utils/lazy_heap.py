@@ -66,6 +66,17 @@ to the queue's length (so a fully stale queue rotates onto itself).  A
 refresh to 0, or a pushed 0, joins the back, as its new counter would put
 it.  Zeros are therefore popped in exactly the plain CELF order, without
 the O(k log k) re-stamping of all k zeros on every pop that returns one.
+
+**The bulk tail.**  A consumer that pushes tens of thousands of keys and
+pops a few hundred (TI-CARM) should not pay for a Python tuple per key.  A
+bulk push of more than ``_PREFIX`` live keys keeps them as numpy arrays (the
+*tail*) and moves only the best ``_PREFIX`` of them, chosen by one
+``argpartition``, into ``_heap``.  A sentinel entry carrying the tail's
+best ``(-value, counter)`` pair sits in ``_heap`` in its place; when it
+surfaces, the next ``_PREFIX`` tail entries move in.  An entry therefore
+reaches the heap before anything it sorts after is popped, and any valid
+heap over the same entries pops them in the same order, so the tail leaves
+the pop sequence unchanged.
 """
 
 from __future__ import annotations
@@ -76,6 +87,11 @@ from itertools import islice, repeat
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+#: live keys a bulk push turns into heap entries; the rest wait in the tail
+_PREFIX = 2048
+#: key of the sentinel entry standing for the tail (element keys are >= 0)
+_TAIL = -1
 
 
 class BatchedLazyGreedy:
@@ -141,6 +157,9 @@ class BatchedLazyGreedy:
         # first ``_stale`` were stamped before the current round.
         self._zeros: Deque[int] = deque()
         self._stale = 0
+        # Bulk-pushed entries not yet in ``_heap``, as parallel arrays
+        # (-value, counter, key, round) in no particular order.
+        self._tail: Tuple[np.ndarray, ...] = ()
         self._members: Dict[int, float] = {}
         # Speculative evaluations for the current round: key -> value.
         self._pending: Dict[int, float] = {}
@@ -171,9 +190,10 @@ class BatchedLazyGreedy:
         """Bulk-insert ``keys``; values come from one ``batch_evaluate`` call.
 
         When the heap is empty this heapifies once instead of pushing one
-        entry at a time.  Ties between equal values resolve by insertion
-        order, exactly like one push per key; on a pure heap the zeros join
-        the back of the zero tail in that order.
+        entry at a time, and beyond ``_PREFIX`` live keys the rest wait in
+        the bulk tail (see the module docstring).  Ties between equal values
+        resolve by insertion order, exactly like one push per key; on a pure
+        heap the zeros join the back of the zero tail in that order.
         """
         key_array = np.ascontiguousarray(keys, dtype=np.int64)
         if key_array.size == 0:
@@ -182,23 +202,31 @@ class BatchedLazyGreedy:
             values = self._evaluate(key_array)
         else:
             values = np.asarray(values, dtype=np.float64)
-        key_list = key_array.tolist()
-        self._members.update(zip(key_list, values.tolist()))
+        self._members.update(zip(key_array.tolist(), values.tolist()))
         base = self._next_counter
-        self._next_counter = base + len(key_list)
-        counters = range(base, self._next_counter)
+        self._next_counter = base + key_array.size
+        counters = np.arange(base, self._next_counter, dtype=np.int64)
         if self._pure:
             zero = values == 0.0
             if zero.any():
                 # Zeros join the tail in insertion order; the rest keep the
                 # counters of their insertion positions.
                 self._zeros.extend(key_array[zero].tolist())
-                live = np.flatnonzero(~zero)
-                key_list = key_array[live].tolist()
-                values = values[live]
-                counters = (live + base).tolist()
+                live = ~zero
+                key_array, values, counters = key_array[live], values[live], counters[live]
+        if key_array.size > _PREFIX:
+            rounds = np.full(key_array.size, self._round, dtype=np.int64)
+            fresh = (-values, counters, key_array, rounds)
+            self._tail = tuple(map(np.concatenate, zip(self._tail, fresh))) if self._tail else fresh
+            self._refill()
+            return
         entries = list(
-            zip((-values).tolist(), counters, key_list, repeat(self._round, len(key_list)))
+            zip(
+                (-values).tolist(),
+                counters.tolist(),
+                key_array.tolist(),
+                repeat(self._round, key_array.size),
+            )
         )
         if self._heap:
             for entry in entries:
@@ -206,6 +234,41 @@ class BatchedLazyGreedy:
         else:
             self._heap = entries
             heapq.heapify(self._heap)
+
+    def _refill(self) -> None:
+        """Move the best ``_PREFIX`` tail entries into the heap, then stand
+        a sentinel for the best entry left in the tail.
+
+        Moving entries early never reorders pops, so a sentinel left behind
+        by a later push or refill only triggers an early refill."""
+        if not self._tail:
+            return
+        negated = self._tail[0]
+        moved = np.zeros(negated.size, dtype=bool)
+        if negated.size > _PREFIX:
+            moved[np.argpartition(negated, _PREFIX - 1)[:_PREFIX]] = True
+        else:
+            moved[:] = True
+        members = self._members
+        heap = self._heap
+        heap.extend(
+            entry
+            for entry in zip(*(column[moved].tolist() for column in self._tail))
+            if entry[2] in members
+        )
+        self._tail = tuple(column[~moved] for column in self._tail)
+        self._stand_sentinel()
+        heapq.heapify(heap)
+
+    def _stand_sentinel(self) -> None:
+        """Push the tail's best ``(-value, counter)`` as a ``_TAIL`` entry,
+        or forget an empty tail."""
+        negated, counters = self._tail[0], self._tail[1]
+        if negated.size == 0:
+            self._tail = ()
+            return
+        best = negated.min()
+        self._heap.append((float(best), int(counters[negated == best].min()), _TAIL, 0))
 
     def remove(self, key: int) -> None:
         """Remove ``key``; it will be skipped when it surfaces."""
@@ -224,8 +287,16 @@ class BatchedLazyGreedy:
         for key in np.asarray(keys, dtype=np.int64).tolist():
             members.pop(key, None)
         heap, zeros = self._heap, self._zeros
-        if len(heap) + len(zeros) > 2 * len(members) + self._batch_size:
+        queued = len(heap) + len(zeros) + (self._tail[0].size if self._tail else 0)
+        if queued > 2 * len(members) + self._batch_size:
             heap[:] = [entry for entry in heap if entry[2] in members]
+            if self._tail:
+                tail_keys = self._tail[2]
+                live = np.fromiter(
+                    map(members.__contains__, tail_keys.tolist()), bool, tail_keys.size
+                )
+                self._tail = tuple(column[live] for column in self._tail)
+                self._stand_sentinel()
             heapq.heapify(heap)
             self._stale = sum(key in members for key in islice(zeros, self._stale))
             self._zeros = deque(key for key in zeros if key in members)
@@ -280,6 +351,8 @@ class BatchedLazyGreedy:
             entry = heappop(heap)
             key = entry[2]
             if key not in members:
+                if key == _TAIL:
+                    self._refill()
                 continue  # discarded, or a superseded duplicate entry
             if entry[3] == self._round:
                 del members[key]

@@ -23,6 +23,7 @@ happens.
 
 import heapq
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,7 +189,8 @@ def test_discarding_dead_keys_keeps_the_pop_sequence(seed, batch_size):
 
 @st.composite
 def _zero_heavy_scripts(draw):
-    """Initial values and a script of consumer steps, mostly over zeros."""
+    """Initial values and a script of consumer steps, mostly over zeros,
+    with the batch size, the bulk-push prefix and the heap's purity."""
     values = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
     steps = st.one_of(
         st.tuples(st.just("accept"), st.lists(st.booleans(), min_size=1, max_size=8)),
@@ -197,7 +199,13 @@ def _zero_heavy_scripts(draw):
         st.tuples(st.just("discard"), st.lists(st.booleans(), min_size=1, max_size=8)),
     )
     initial = draw(st.lists(values, max_size=40))
-    return initial, draw(st.lists(steps, max_size=80)), draw(st.sampled_from([1, 2, 4, 64]))
+    return (
+        initial,
+        draw(st.lists(steps, max_size=80)),
+        draw(st.sampled_from([1, 2, 4, 64])),
+        draw(st.sampled_from([1, 2, 5, lazy_heap._PREFIX])),
+        draw(st.sampled_from([True, True, False])),
+    )
 
 
 # Compacts a zero tail holding a stale prefix (keys 1-7, mostly discarded)
@@ -207,18 +215,39 @@ _STALE_AND_CURRENT_ZEROS = (
     [("accept", [False]), ("push", [0.0]), ("discard", [True] * 6 + [False] * 2),
      ("reject", None)],
     1,
+    lazy_heap._PREFIX,
+    True,
+)
+
+# Pushes onto a live heap whose bulk tail already holds entries, then
+# compacts both with a discard and drains them.
+_PUSH_ONTO_A_BULK_TAIL = (
+    [3.0, 1.0, 2.0, 1.0, 3.0, 0.0, 2.0],
+    [("reject", None), ("push", [2.0, 3.0, 1.0, 0.0]), ("accept", [True, False]),
+     ("discard", [True, True, True, False]), ("reject", None)],
+    2,
+    2,
+    True,
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(script=_zero_heavy_scripts(), seed=st.integers(0, 2**16))
 @example(script=_STALE_AND_CURRENT_ZEROS, seed=0)
+@example(script=_PUSH_ONTO_A_BULK_TAIL, seed=1)
 def test_zero_tail_matches_the_scalar_heap(script, seed):
-    """A pure heap pops zeros in the reference heap's order under every
-    consumer move: accepted pops (values fall, round advances), rejected
-    pops (no round change), bulk pushes onto a live heap, zeros included,
-    and discards large enough to compact a queued zero tail."""
-    initial, steps, batch_size = script
+    """A heap pops in the reference heap's order under every consumer move:
+    accepted pops (values fall, round advances), rejected pops (no round
+    change), bulk pushes onto a live heap, zeros included, and discards
+    large enough to compact a queued zero tail or bulk tail.  Pure heaps
+    serve their zeros from the zero tail; a small ``_PREFIX`` sends every
+    push of more than that many live keys through the bulk tail."""
+    initial, steps, batch_size, prefix, pure = script
+    with mock.patch.object(lazy_heap, "_PREFIX", prefix):
+        _replay_against_the_scalar_heap(initial, steps, batch_size, pure, seed)
+
+
+def _replay_against_the_scalar_heap(initial, steps, batch_size, pure, seed):
     values = dict(enumerate(initial))
     rng = np.random.default_rng(seed)
 
@@ -226,7 +255,7 @@ def test_zero_tail_matches_the_scalar_heap(script, seed):
         return np.array([values[int(k)] for k in keys], dtype=np.float64)
 
     reference = LazyMarginalHeap(values.__getitem__)
-    heap = BatchedLazyGreedy(batch, batch_size=batch_size, pure=True)
+    heap = BatchedLazyGreedy(batch, batch_size=batch_size, pure=pure)
     reference.push_many(list(values))
     heap.push_array(np.arange(len(values), dtype=np.int64))
     for step, argument in steps:
@@ -253,6 +282,41 @@ def test_zero_tail_matches_the_scalar_heap(script, seed):
     while len(reference):
         assert heap.pop_best() == reference.pop_best()
     assert heap.pop_best() is None
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_bulk_tail_drains_in_the_scalar_order(pure):
+    """A push of several ``_PREFIX`` keys, drained by accepted pops while
+    values fall and keys die in bulk, pops in the reference heap's order."""
+    rng = np.random.default_rng(8)
+    count = 3 * lazy_heap._PREFIX + 7
+    # Two decimals: exact ties across every partition of the tail.
+    table = dict(enumerate(np.round(rng.uniform(0.0, 9.0, count), 2).tolist()))
+    table.update((key, 0.0) for key in rng.choice(count, count // 5).tolist())
+
+    def batch(keys):
+        return np.array([table[int(k)] for k in keys], dtype=np.float64)
+
+    reference = LazyMarginalHeap(table.__getitem__)
+    heap = BatchedLazyGreedy(batch, pure=pure)
+    reference.push_many(range(count))
+    heap.push_array(np.arange(count, dtype=np.int64))
+    assert heap._tail and len(heap._heap) <= lazy_heap._PREFIX + 1
+    steps = 0
+    while len(reference):
+        assert heap.pop_best() == reference.pop_best()
+        for key in rng.choice(count, 3).tolist():
+            table[key] = round(table[key] / 2.0, 2)
+        heap.advance_round()
+        reference.advance_round()
+        steps += 1
+        if steps % 500 == 0:
+            dying = [key for key in rng.choice(count, count // 2).tolist() if key in reference]
+            for key in set(dying):
+                reference.remove(key)
+            heap.discard(np.asarray(dying, dtype=np.int64))
+        assert len(heap) == len(reference)
+    assert heap.pop_best() is None and not heap._tail
 
 
 def _count_heap_operations(monkeypatch):
