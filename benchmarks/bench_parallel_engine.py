@@ -69,7 +69,7 @@ from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
 from repro.parallel import ShardedExecutor, rr
 from repro.parallel.mc import run_singleton_shards, run_spread_shards
-from repro.parallel.rr import run_generation_shards, split_flat
+from repro.parallel.rr import merge_shards, run_generation_shards
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import SubsimRRGenerator
 from repro.rrsets.uniform import UniformRRSampler
@@ -224,7 +224,7 @@ def run(config: dict) -> dict:
         size = shard.sizes.size
         triples.append((shard.members, shard.sizes, tags[position: position + size]))
         position += size
-    parallel_sets = [s for shard in shards for s in split_flat(shard.members, shard.sizes)]
+    parallel_sets = list(merge_shards(shards))
 
     def build_by_add():
         collection = RRCollection(n, NUM_ADVERTISERS)

@@ -47,12 +47,9 @@ from repro.parallel.executor import (
     current_worker_cache,
     shard_counts,
 )
-from repro.rrsets.collection import split_by_sizes
 from repro.rrsets.generator import RRSetBatch
 from repro.rrsets.slots import slot_engine
 from repro.utils.rng import RandomSource, spawn_rngs
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class GenerationShard(NamedTuple):
@@ -64,16 +61,11 @@ class GenerationShard(NamedTuple):
     cpu_seconds: float  #: worker CPU time spent on the shard
 
 
-def split_flat(members: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
-    """Views of ``members`` per RR-set (no copies; the CSR inverse of a shard)."""
-    return split_by_sizes(members, sizes)
-
-
 def merge_shards(shards) -> RRSetBatch:
-    """The shards' RR-sets in shard order, as one :class:`RRSetBatch`."""
+    """The shards' RR-sets in shard order, as one flat :class:`RRSetBatch`."""
     if len(shards) == 1:
-        return RRSetBatch.from_flat(shards[0].members, shards[0].sizes)
-    return RRSetBatch.from_flat(
+        return RRSetBatch(shards[0].members, shards[0].sizes)
+    return RRSetBatch(
         np.concatenate([shard.members for shard in shards]),
         np.concatenate([shard.sizes for shard in shards]),
     )
@@ -93,12 +85,10 @@ def _generate_shard(payload, shard) -> GenerationShard:
     # A cached generator accumulates edges_examined across calls, so report
     # this shard's cost as a delta rather than the counter's absolute value.
     edges_before = generator.edges_examined
-    rr_sets = generator.generate_batch(count, rng)
-    sizes = np.fromiter((s.size for s in rr_sets), dtype=np.int64, count=len(rr_sets))
-    members = np.concatenate(rr_sets) if rr_sets else _EMPTY
+    batch = RRSetBatch.from_sets(generator.generate_batch(count, rng))
     return GenerationShard(
-        members,
-        sizes,
+        batch.members,
+        batch.sizes,
         generator.edges_examined - edges_before,
         time.process_time() - started,
     )
@@ -116,39 +106,14 @@ def run_generation_shards(
 
     One RNG substream is spawned per shard from ``rng``; shard sizes follow
     :func:`repro.parallel.executor.shard_counts`.  Returns the raw per-shard
-    results in shard order (the perf harness consumes the timings; normal
-    callers use :func:`generate_batch_sharded`).
+    results in shard order (the perf harness consumes the timings;
+    :meth:`~repro.rrsets.generator.RRSetGenerator.generate_batch_parallel`
+    merges them with :func:`merge_shards`).
     """
     counts = shard_counts(count, executor.n_jobs)
     rngs = spawn_rngs(rng, len(counts))
     payload = (generator_cls, graph, probabilities)
     return executor.run(_generate_shard, payload, list(zip(counts.tolist(), rngs)))
-
-
-def generate_batch_sharded(
-    generator,
-    count: int,
-    rng: RandomSource,
-    executor: ShardedExecutor,
-) -> RRSetBatch:
-    """Sharded equivalent of ``generator.generate_batch(count, rng)``.
-
-    Returns the RR-sets merged in shard order and folds the workers'
-    ``edges_examined`` counters back into ``generator``.
-    """
-    shards = run_generation_shards(
-        type(generator),
-        generator.graph,
-        generator.edge_probabilities,
-        count,
-        rng,
-        executor,
-    )
-    for shard in shards:
-        generator.record_edges_examined(shard.edges_examined)
-    return merge_shards(shards)
-
-
 
 
 #: A slot call whose work — its slots times its graph's mean in-degree — is

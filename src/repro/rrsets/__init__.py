@@ -11,11 +11,11 @@ CSR arrays:
    (or SUBSIM geometric skips for nodes with uniform in-probabilities,
    detected in one ``np.ufunc.reduceat`` pass).  ``generate_batch`` reuses
    the traversal buffers across RR-sets.
-2. **Storage** (:class:`~repro.rrsets.collection.RRCollection`) — an
-   append-only API backed by a frozen CSR view (concatenated member array +
-   offsets + tag array) built lazily on first query; the
-   ``(advertiser, node) → RR-sets`` inverted index is one stable
-   ``np.argsort`` over flattened keys, queried with ``np.searchsorted``.
+2. **Storage** (:class:`~repro.rrsets.collection.RRCollection`) — frozen
+   flat arrays (concatenated member array + offsets + tag array) and an
+   ``(advertiser, node) → RR-sets`` inverted index sliced by per-key
+   offsets; an appended block's index is merged into the old one, never
+   rebuilt.
 3. **Coverage** (:class:`~repro.rrsets.collection.CoverageState`) — greedy
    max-coverage bookkeeping on an ``(h, n)`` int64 marginal matrix and a
    boolean covered mask: construction is a single ``np.bincount``,

@@ -13,18 +13,26 @@ collection:
 
 Storage layout
 --------------
-:class:`RRCollection` keeps the append-only list API but backs all queries
-with a frozen CSR view built lazily on first query and invalidated by
-``add``:
+An :class:`RRCollection` *is* its flat arrays; it keeps no per-set Python
+objects:
 
 * ``member_array`` / ``set_offsets`` — every RR-set's members concatenated,
   with CSR offsets (RR-set ``k`` is ``member_array[set_offsets[k]:set_offsets[k+1]]``);
 * ``tag_array`` — the advertiser tag of every RR-set;
 * an inverted index from ``(advertiser, node)`` to the RR-sets containing
-  the node under that tag, built by **one** plain ``np.sort`` of the unique
-  composite keys ``(tag·n + node)·count + set`` and sliced by per-key
-  offsets from one ``np.bincount`` — replacing the seed implementation's
-  per-node dict appends.
+  the node under that tag: the set indices ordered by key and, within a
+  key, by set, sliced by per-key offsets that one ``np.bincount`` yields.
+
+Growth is append-only.  ``extend_from_shards`` appends a flat block and
+merges its index into the old one at once; ``add`` buffers single sets,
+which the next query appends as one block.  A block's own index is **one**
+plain ``np.sort`` of the composite keys ``(tag·n + node)·b + set`` over its
+``b`` sets.  Every new set index exceeds every old one, so within each key
+the new entries go after the old: the merged index is two scatters into
+the summed per-key offsets, never a re-sort of the old entries, and equals
+a one-shot build of the same sets bit for bit.  ``compact`` splices
+replaced and dropped sets out of the flat arrays with one gather
+(:func:`splice_sets`).
 
 :class:`CoverageState` maintains the greedy marginal counts on a flat
 ``(h·n,)`` int64 array (conceptually the ``(h, n)`` marginal matrix) plus a
@@ -49,23 +57,73 @@ import numpy as np
 from repro.exceptions import SamplingError
 
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
+_EMPTY_INDEX.setflags(write=False)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def split_by_sizes(flat: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
-    """Views of ``flat`` per set, for consecutive sets of the given sizes.
+def validate_flat_sets(
+    members: np.ndarray,
+    sizes: np.ndarray,
+    tags: np.ndarray,
+    num_nodes: int,
+    num_advertisers: int,
+) -> None:
+    """Raise :class:`SamplingError` unless ``(members, sizes, tags)`` are RR-sets.
 
-    Plain slices over precomputed bounds: ``np.split`` costs several
-    microseconds per piece, which dominates at tens of thousands of sets.
+    Vectorised over the flat layout: ``sizes`` and ``tags`` are 1-D and
+    aligned, the sizes sum to the member count, and every set is non-empty,
+    tagged in ``[0, num_advertisers)`` and strictly increasing over node ids
+    in ``[0, num_nodes)``.
     """
-    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    bounds = bounds.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if sizes.shape != tags.shape or sizes.ndim != 1:
+        raise SamplingError("sizes and tags must be 1-D arrays of equal length")
+    if int(sizes.sum()) != members.size:
+        raise SamplingError("sizes must sum to the member-array length")
+    if sizes.size == 0:
+        return
+    if sizes.min() <= 0:
+        raise SamplingError("an RR-set always contains at least its root")
+    if tags.min() < 0 or tags.max() >= num_advertisers:
+        raise SamplingError("advertiser tag out of range")
+    if members.min() < 0 or members.max() >= num_nodes:
+        raise SamplingError("RR-set contains invalid node ids")
+    if members.size > 1:
+        # Strictly increasing within each set: non-positive diffs are only
+        # allowed at set boundaries.
+        non_increasing = np.diff(members) <= 0
+        non_increasing[np.cumsum(sizes[:-1]) - 1] = False
+        if non_increasing.any():
+            raise SamplingError("RR-set members must be sorted and unique")
+
+
+def splice_sets(
+    members: np.ndarray,
+    sizes: np.ndarray,
+    replaced: np.ndarray,
+    fresh_members: np.ndarray,
+    fresh_sizes: np.ndarray,
+    keep: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(members, sizes)`` after a splice, in one gather.
+
+    The sets at the ascending indices ``replaced`` are swapped for the sets
+    of ``fresh_members`` cut by ``fresh_sizes``, in order; then only the
+    sets where the boolean mask ``keep`` is true survive, in order.  The
+    result is a fresh buffer: it shares storage with neither input.
+    """
+    starts = np.cumsum(sizes) - sizes
+    sizes = sizes.copy()
+    sizes[replaced] = fresh_sizes
+    starts[replaced] = np.cumsum(fresh_sizes) - fresh_sizes + members.size
+    if keep is not None:
+        starts, sizes = starts[keep], sizes[keep]
+    gather = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    gather += np.arange(gather.size)
+    return np.concatenate((members, fresh_members))[gather], sizes
 
 
 class RRCollection:
-    """An append-only list of RR-sets, each tagged with an advertiser index.
+    """An append-only collection of advertiser-tagged RR-sets on flat arrays.
 
     Parameters
     ----------
@@ -83,17 +141,18 @@ class RRCollection:
             raise SamplingError("num_advertisers must be positive")
         self._num_nodes = num_nodes
         self._num_advertisers = num_advertisers
-        self._sets: List[np.ndarray] = []
-        self._tags: List[int] = []
-        self._total_size = 0
-        # Lazily built CSR view + inverted index (invalidated by add()).
-        self._csr_size = -1  # number of sets the cached CSR covers; -1 = none
         self._member_array = _EMPTY_INDEX
         self._set_offsets = np.zeros(1, dtype=np.int64)
+        self._set_offsets.setflags(write=False)
         self._tag_array = _EMPTY_INDEX
         self._inverted_sets = _EMPTY_INDEX
-        self._key_offsets = np.zeros(1, dtype=np.int64)  # allocated in _ensure_csr
+        # The per-key arrays, (h·n + 1,) and (h, n): built by the first
+        # append or query.
+        self._key_offsets: Optional[np.ndarray] = None
         self._membership_counts: Optional[np.ndarray] = None
+        # Sets added one at a time since the last query, appended by _flush.
+        self._pending_sets: List[np.ndarray] = []
+        self._pending_tags: List[int] = []
 
     # ------------------------------------------------------------------ #
     # construction
@@ -111,10 +170,9 @@ class RRCollection:
             raise SamplingError("an RR-set always contains at least its root")
         if members[0] < 0 or members[-1] >= self._num_nodes:
             raise SamplingError("RR-set contains invalid node ids")
-        index = len(self._sets)
-        self._sets.append(members)
-        self._tags.append(int(advertiser))
-        self._total_size += int(members.size)
+        index = len(self)
+        self._pending_sets.append(members)
+        self._pending_tags.append(int(advertiser))
         return index
 
     def extend(self, rr_sets: Iterable[Tuple[Sequence[int], int]]) -> None:
@@ -134,8 +192,7 @@ class RRCollection:
         Each shard is a ``(members, sizes, tags)`` triple: all the shard's
         RR-set members concatenated, the per-set cardinalities and the per-set
         advertiser tags.  Shards are concatenated in the given order and the
-        CSR view + inverted index are built straight from the flat arrays —
-        no per-set ``add`` calls, no intermediate Python-list round-trip.
+        CSR view + inverted index are built straight from the flat arrays.
         This is the merge step of the sharded generation pipeline
         (:mod:`repro.parallel.rr`); every member array must already be sorted
         and duplicate-free, as the generators guarantee.
@@ -149,178 +206,141 @@ class RRCollection:
     ) -> None:
         """Append per-shard ``(members, sizes, tags)`` triples in shard order.
 
-        Validation is vectorised over each shard (node-id range, tag range,
-        non-empty sets, strictly increasing members within every set).  When
-        the collection was empty the CSR view and inverted index are built
-        eagerly from the concatenated shard arrays; when appending to a
-        non-empty collection the cached view is invalidated and rebuilt
-        lazily on the next query, like :meth:`add`.
+        Every shard is validated by :func:`validate_flat_sets`.  The shards
+        land as one block whose index is merged into the collection's at
+        once (see the module docstring); the caller's arrays are copied,
+        never adopted.
         """
-        was_empty = not self._sets
-        flats: List[np.ndarray] = []
-        size_parts: List[np.ndarray] = []
-        tag_parts: List[np.ndarray] = []
+        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for members, sizes, tags in shards:
             members = np.ascontiguousarray(members, dtype=np.int64)
             sizes = np.asarray(sizes, dtype=np.int64)
             tags = np.asarray(tags, dtype=np.int64)
-            if sizes.shape != tags.shape or sizes.ndim != 1:
-                raise SamplingError("sizes and tags must be 1-D arrays of equal length")
-            if int(sizes.sum()) != members.size:
-                raise SamplingError("sizes must sum to the member-array length")
-            if sizes.size == 0:
-                continue
-            if sizes.min() <= 0:
-                raise SamplingError("an RR-set always contains at least its root")
-            if tags.min() < 0 or tags.max() >= self._num_advertisers:
-                raise SamplingError("advertiser tag out of range")
-            if members.min() < 0 or members.max() >= self._num_nodes:
-                raise SamplingError("RR-set contains invalid node ids")
-            if members.size > 1:
-                # Strictly increasing within each set: non-positive diffs are
-                # only allowed at set boundaries.
-                non_increasing = np.diff(members) <= 0
-                boundaries = np.cumsum(sizes[:-1]) - 1
-                non_increasing[boundaries] = False
-                if non_increasing.any():
-                    raise SamplingError("RR-set members must be sorted and unique")
-            flats.append(members)
-            size_parts.append(sizes)
-            tag_parts.append(tags)
-        if not flats:
-            return
-        # Fresh buffers in both branches (concatenate always copies) for the
-        # arrays _build_csr freezes, so a caller's array never has its write
-        # flag flipped.
-        flat = flats[0].copy() if len(flats) == 1 else np.concatenate(flats)
-        sizes = size_parts[0] if len(size_parts) == 1 else np.concatenate(size_parts)
-        tags = tag_parts[0].copy() if len(tag_parts) == 1 else np.concatenate(tag_parts)
-        # The list API (rr_set / add interleaving) stays available: per-set
-        # views into the flat buffer, no per-element copies.  Freeze the
-        # buffer first so the views are read-only — they share storage with
-        # the CSR member array.
-        flat.setflags(write=False)
-        self._sets.extend(split_by_sizes(flat, sizes))
-        self._tags.extend(tags.tolist())
-        self._total_size += int(flat.size)
-        if was_empty:
-            self._build_csr(flat, sizes, tags)
-        else:
-            self._csr_size = -1
+            validate_flat_sets(members, sizes, tags, self._num_nodes, self._num_advertisers)
+            if sizes.size:
+                parts.append((members, sizes, tags))
+        if parts:
+            if self._pending_sets:
+                self._flush()
+            self._append(*map(list, zip(*parts)))
+
+    def _flush(self) -> None:
+        """Append the sets ``add`` buffered, as one block (on an empty,
+        never-queried collection, an empty block builds the index)."""
+        if self._pending_sets or self._key_offsets is None:
+            sizes = np.array([s.size for s in self._pending_sets], dtype=np.int64)
+            tags = np.array(self._pending_tags, dtype=np.int64)
+            self._append(self._pending_sets, [sizes], [tags])
+            self._pending_sets, self._pending_tags = [], []
+
+    def _append(
+        self,
+        member_parts: List[np.ndarray],
+        size_parts: List[np.ndarray],
+        tag_parts: List[np.ndarray],
+    ) -> None:
+        """Append one block of sets and merge its inverted index in."""
+        old_sets = self._tag_array.size
+        sizes = np.concatenate(size_parts)
+        count = old_sets + sizes.size
+        if self._num_advertisers * self._num_nodes * count > _INT64_MAX:
+            raise SamplingError(
+                f"{count} RR-sets over {self._num_advertisers}×{self._num_nodes} "
+                "(advertiser, node) keys overflow the int64 inverted-index keys"
+            )
+        members = np.concatenate([self._member_array, *member_parts])
+        tags = np.concatenate([self._tag_array, *tag_parts])
+        offsets = np.concatenate((self._set_offsets, self._set_offsets[-1] + np.cumsum(sizes)))
+        # The block's index: one plain sort of the unique composite keys
+        # key·block + set orders its entries by key and, within a key, by
+        # ascending set index — the append order of the seed
+        # implementation's per-node lists.
+        block = sizes.size
+        keys = np.repeat(tags[old_sets:], sizes) * self._num_nodes
+        keys += members[self._member_array.size:]
+        composite = keys * block
+        composite += np.repeat(np.arange(block, dtype=np.int64), sizes)
+        composite.sort()
+        composite %= max(block, 1)
+        composite += old_sets
+        # Keys are dense ints in [0, h·n), so one bincount yields both the
+        # membership counts and the per-key slice offsets.
+        counts = np.bincount(keys, minlength=self._num_advertisers * self._num_nodes)
+        inverted = composite
+        if self._inverted_sets.size:
+            # Within a key the old entries stay first: an old entry moves by
+            # the block entries of the keys before its own, a block entry by
+            # the old entries of its key and every key before it.
+            old_counts = self._membership_counts.ravel()
+            inverted = np.empty(self._inverted_sets.size + composite.size, dtype=np.int64)
+            moved = np.repeat(np.cumsum(counts) - counts, old_counts)
+            moved += np.arange(self._inverted_sets.size)
+            inverted[moved] = self._inverted_sets
+            moved = np.repeat(self._key_offsets[1:], counts)
+            moved += np.arange(composite.size)
+            inverted[moved] = composite
+            counts += old_counts
+        key_offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._member_array = members
+        self._set_offsets = offsets
+        self._tag_array = tags
+        self._inverted_sets = inverted
+        self._key_offsets = key_offsets
+        self._membership_counts = counts.reshape(self._num_advertisers, self._num_nodes)
+        # The query API hands out views of these arrays; freeze them so an
+        # in-place caller mutation cannot corrupt the shared index.
+        for array in (members, offsets, tags, inverted, key_offsets, self._membership_counts):
+            array.setflags(write=False)
 
     def compact(
         self,
         replacements: Optional[Mapping[int, Tuple[Sequence[int], int]]] = None,
         drop: Iterable[int] = (),
     ) -> "RRCollection":
-        """Tombstone-aware compaction: rebuild the collection on the flat layout.
+        """Tombstone-aware compaction: a new collection spliced from this one.
 
         ``drop`` tombstones RR-set indices out of the result; ``replacements``
         maps indices to ``(members, advertiser)`` pairs substituted in place.
         Surviving sets keep their relative order (replaced sets keep their
         exact index when nothing is dropped), so an incremental store that
         replaces invalidated sets slot-for-slot stays index-aligned with a
-        freshly generated collection.  The result is built through the
-        :meth:`extend_from_shards` flat-array path — one concatenation, one
-        eager CSR/inverted-index build, no per-set ``add`` calls.
+        freshly generated collection.  The flat arrays are spliced with one
+        gather (:func:`splice_sets`) and the result is built by
+        :meth:`from_shards` — no loop over the sets.
         """
-        count = len(self._sets)
-        drop_set = {int(index) for index in drop}
-        for index in drop_set:
-            if not 0 <= index < count:
-                raise SamplingError(f"drop index {index} out of range")
-        normalized: dict = {}
-        if replacements:
-            for index, (members, advertiser) in replacements.items():
-                index = int(index)
-                if not 0 <= index < count:
-                    raise SamplingError(f"replacement index {index} out of range")
-                if index in drop_set:
-                    raise SamplingError(
-                        f"index {index} cannot be both dropped and replaced"
-                    )
-                normalized[index] = (
-                    np.unique(np.asarray(members, dtype=np.int64)),
-                    int(advertiser),
-                )
-        kept: List[np.ndarray] = []
-        sizes: List[int] = []
-        tags: List[int] = []
-        for index in range(count):
-            if index in drop_set:
-                continue
-            members, tag = normalized.get(index, (None, None))
-            if members is None:
-                members, tag = self._sets[index], self._tags[index]
-            kept.append(members)
-            sizes.append(int(members.size))
-            tags.append(int(tag))
-        compacted = RRCollection(self._num_nodes, self._num_advertisers)
-        flat = np.concatenate(kept) if kept else _EMPTY_INDEX
-        compacted.extend_from_shards(
-            [(
-                flat,
-                np.asarray(sizes, dtype=np.int64),
-                np.asarray(tags, dtype=np.int64),
-            )]
+        count = len(self)
+        replaced = sorted((int(index), pair) for index, pair in (replacements or {}).items())
+        indices = np.array([index for index, _ in replaced], dtype=np.int64)
+        dropped = np.unique(np.fromiter(map(int, drop), dtype=np.int64))
+        for kind, chosen in (("drop", dropped), ("replacement", indices)):
+            outside = chosen[(chosen < 0) | (chosen >= count)]
+            if outside.size:
+                raise SamplingError(f"{kind} index {int(outside[0])} out of range")
+        both = np.intersect1d(indices, dropped)
+        if both.size:
+            raise SamplingError(f"index {int(both[0])} cannot be both dropped and replaced")
+        fresh = [np.unique(np.asarray(members, dtype=np.int64)) for _, (members, _) in replaced]
+        keep = np.ones(count, dtype=bool)
+        keep[dropped] = False
+        members, sizes = splice_sets(
+            self.member_array,
+            self.set_sizes(),
+            indices,
+            np.concatenate([_EMPTY_INDEX, *fresh]),
+            np.array([s.size for s in fresh], dtype=np.int64),
+            keep,
         )
-        return compacted
-
-    def _ensure_csr(self) -> None:
-        """(Re)build the frozen CSR view and inverted index if stale."""
-        count = len(self._sets)
-        if self._csr_size == count:
-            return
-        sizes = np.fromiter((s.size for s in self._sets), dtype=np.int64, count=count)
-        flat = (
-            np.concatenate(self._sets) if count else _EMPTY_INDEX
-        ).astype(np.int64, copy=False)
-        tags = np.asarray(self._tags, dtype=np.int64)
-        self._build_csr(flat, sizes, tags)
-
-    def _build_csr(self, flat: np.ndarray, sizes: np.ndarray, tags: np.ndarray) -> None:
-        """Build the CSR view + inverted index from pre-flattened arrays."""
-        count = int(sizes.size)
-        if self._num_advertisers * self._num_nodes * count > _INT64_MAX:
-            raise SamplingError(
-                f"{count} RR-sets over {self._num_advertisers}×{self._num_nodes} "
-                "(advertiser, node) keys overflow the int64 inverted-index keys"
-            )
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        keys = np.repeat(tags, sizes) * self._num_nodes + flat
-        # One plain sort of the unique composite keys key·count + set index
-        # orders the entries by key and, within a key, by ascending RR-set
-        # index — the append order of the seed implementation's per-node
-        # lists, which a stable argsort of the keys would also give.
-        composite = keys * count
-        composite += np.repeat(np.arange(count, dtype=np.int64), sizes)
-        composite.sort()
-        composite %= max(count, 1)
-        self._member_array = flat
-        self._set_offsets = offsets
-        self._tag_array = tags
-        self._inverted_sets = composite
-        # Keys are dense ints in [0, h·n), so one bincount yields both the
-        # membership-count matrix and the per-key slice offsets — queries
-        # become plain indexing, no per-query searchsorted.
-        counts = np.bincount(keys, minlength=self._num_advertisers * self._num_nodes)
-        self._membership_counts = counts.reshape(self._num_advertisers, self._num_nodes)
-        key_offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=key_offsets[1:])
-        self._key_offsets = key_offsets
-        # The query API hands out views of these arrays; freeze them so an
-        # in-place caller mutation cannot corrupt the shared index.
-        for array in (self._member_array, self._set_offsets, self._tag_array,
-                      self._inverted_sets, self._membership_counts):
-            array.setflags(write=False)
-        self._csr_size = count
+        tags = self._tag_array.copy()
+        tags[indices] = [advertiser for _, (_, advertiser) in replaced]
+        return RRCollection.from_shards(
+            self._num_nodes, self._num_advertisers, [(members, sizes, tags[keep])]
+        )
 
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._sets)
+        return self._tag_array.size + len(self._pending_tags)
 
     @property
     def num_nodes(self) -> int:
@@ -335,43 +355,43 @@ class RRCollection:
     @property
     def total_size(self) -> int:
         """Sum of RR-set cardinalities (memory/work proxy)."""
-        return self._total_size
+        return int(self.member_array.size)
 
     def rr_set(self, index: int) -> np.ndarray:
-        """The node members of RR-set ``index`` (sorted, unique)."""
-        return self._sets[index]
+        """The node members of RR-set ``index`` (a read-only, sorted slice)."""
+        index = range(len(self))[index]
+        offsets = self.set_offsets
+        return self._member_array[offsets[index]: offsets[index + 1]]
 
     def tag(self, index: int) -> int:
         """The advertiser tag of RR-set ``index``."""
-        return self._tags[index]
+        return int(self.tag_array[index])
 
     def tags(self) -> np.ndarray:
-        """All advertiser tags as an array aligned with RR-set indices."""
-        return np.asarray(self._tags, dtype=np.int64)
+        """All advertiser tags as a read-only array aligned with RR-set indices."""
+        return self.tag_array
 
     def count_per_advertiser(self) -> np.ndarray:
         """Number of RR-sets tagged with each advertiser."""
-        return np.bincount(
-            np.asarray(self._tags, dtype=np.int64), minlength=self._num_advertisers
-        )
+        return np.bincount(self.tag_array, minlength=self._num_advertisers)
 
     # -- CSR view ------------------------------------------------------- #
     @property
     def member_array(self) -> np.ndarray:
-        """All RR-set members concatenated (CSR values; triggers a lazy build)."""
-        self._ensure_csr()
+        """All RR-set members concatenated (CSR values)."""
+        self._flush()
         return self._member_array
 
     @property
     def set_offsets(self) -> np.ndarray:
         """CSR offsets into :attr:`member_array`, length ``len(self) + 1``."""
-        self._ensure_csr()
+        self._flush()
         return self._set_offsets
 
     @property
     def tag_array(self) -> np.ndarray:
         """Advertiser tag per RR-set as an int64 array (CSR view)."""
-        self._ensure_csr()
+        self._flush()
         return self._tag_array
 
     def set_sizes(self) -> np.ndarray:
@@ -381,11 +401,10 @@ class RRCollection:
     def membership_counts(self) -> np.ndarray:
         """The ``(h, n)`` matrix counting RR-sets tagged ``i`` containing ``u``.
 
-        Equals the initial marginal matrix of :class:`CoverageState`; computed
-        by one ``np.bincount`` during the CSR build and cached until the next
-        ``add``.
+        Equals the initial marginal matrix of :class:`CoverageState`; kept
+        up to date by every append.
         """
-        self._ensure_csr()
+        self._flush()
         return self._membership_counts
 
     def sets_containing_array(self, advertiser: int, node: int) -> np.ndarray:
@@ -396,8 +415,8 @@ class RRCollection:
         """
         if not (0 <= node < self._num_nodes and 0 <= advertiser < self._num_advertisers):
             return _EMPTY_INDEX
-        if self._csr_size != len(self._sets):
-            self._ensure_csr()
+        if self._pending_sets or self._key_offsets is None:
+            self._flush()
         key = advertiser * self._num_nodes + node
         offsets = self._key_offsets
         return self._inverted_sets[offsets[key]: offsets[key + 1]]
@@ -428,7 +447,7 @@ class RRCollection:
 
     def memory_proxy_bytes(self) -> int:
         """Approximate memory footprint of the stored RR-sets, in bytes."""
-        return self._total_size * 8 + len(self._sets) * 64
+        return self.total_size * 8 + len(self) * 64
 
 
 class CoverageState:

@@ -48,13 +48,12 @@ matrix downstream.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, TYPE_CHECKING
+from typing import Iterator, List, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRDiGraph
-from repro.rrsets.collection import split_by_sizes
 from repro.utils.rng import RandomSource, as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,31 +74,37 @@ class RRProvenance(NamedTuple):
     edges_examined: int
 
 
-class RRSetBatch(list):
-    """RR-sets as a list, which also holds them as one flat pair.
+class RRSetBatch:
+    """RR-sets as one flat pair, with no per-set Python objects.
 
     ``members`` is every set's members concatenated and ``sizes`` the
     per-set cardinalities — the ``(members, sizes)`` layout
-    :meth:`repro.rrsets.collection.RRCollection.from_shards` takes — so a
-    consumer that wants the flat arrays does not concatenate the list back.
+    :meth:`repro.rrsets.collection.RRCollection.from_shards` takes.
+    ``len`` counts the sets and iterating yields each set as a read-only
+    slice of ``members``.
     """
 
-    def __init__(self, rr_sets: List[np.ndarray], members: np.ndarray, sizes: np.ndarray):
-        super().__init__(rr_sets)
+    __slots__ = ("members", "sizes")
+
+    def __init__(self, members: np.ndarray, sizes: np.ndarray):
         self.members = members
         self.sizes = sizes
-
-    @classmethod
-    def from_flat(cls, members: np.ndarray, sizes: np.ndarray) -> "RRSetBatch":
-        """The batch whose sets are views of ``members`` cut by ``sizes``."""
-        return cls(split_by_sizes(members, sizes), members, sizes)
 
     @classmethod
     def from_sets(cls, rr_sets: List[np.ndarray]) -> "RRSetBatch":
         """The batch of ``rr_sets``, concatenated once into the flat pair."""
         sizes = np.fromiter((s.size for s in rr_sets), dtype=np.int64, count=len(rr_sets))
         members = np.concatenate(rr_sets) if rr_sets else np.empty(0, dtype=np.int64)
-        return cls(rr_sets, members, sizes)
+        return cls(members, sizes)
+
+    def __len__(self) -> int:
+        return int(self.sizes.size)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        members = self.members.view()
+        members.setflags(write=False)
+        bounds = np.concatenate(([0], np.cumsum(self.sizes))).tolist()
+        return (members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 class RRSetGenerator:
@@ -236,12 +241,12 @@ class RRSetGenerator:
 
         ``runtime`` (or the ambient :func:`repro.runtime.current_runtime`)
         supplies a persistent worker pool reused across calls; results are
-        bit-identical with or without one.  The sets come back as an
-        :class:`RRSetBatch`: a list that also holds its flat arrays.
+        bit-identical with or without one.  The sets come back as one flat
+        :class:`RRSetBatch`.
         """
         if count < 0:
             raise SamplingError("count must be non-negative")
-        from repro.parallel.rr import generate_batch_sharded, merge_shards, run_slot_shards
+        from repro.parallel.rr import merge_shards, run_generation_shards, run_slot_shards
         from repro.runtime import acquire_executor
 
         if n_jobs is None and policy is not None:
@@ -252,12 +257,15 @@ class RRSetGenerator:
             shards = run_slot_shards(
                 None, self._graph, self._probabilities, None, entropy, (0, count), executor
             )
-            for shard in shards:
-                self.record_edges_examined(int(shard.edges_examined.sum()))
-            return merge_shards(shards)
-        if executor.n_jobs <= 1 or count <= 1:
+        elif executor.n_jobs <= 1 or count <= 1:
             return RRSetBatch.from_sets(self.generate_batch(count, rng))
-        return generate_batch_sharded(self, count, rng, executor)
+        else:
+            shards = run_generation_shards(
+                type(self), self._graph, self._probabilities, count, rng, executor
+            )
+        for shard in shards:
+            self.record_edges_examined(int(np.sum(shard.edges_examined)))
+        return merge_shards(shards)
 
     # ------------------------------------------------------------------ #
     def _next_token(self) -> int:

@@ -54,13 +54,13 @@ index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.deltas import DeltaEffect, GraphDelta, MutableGraphView
-from repro.rrsets.collection import RRCollection, split_by_sizes
+from repro.rrsets.collection import RRCollection, splice_sets, validate_flat_sets
 from repro.rrsets.estimators import estimate_total_revenue
 from repro.rrsets.generator import RRSetGenerator
 from repro.rrsets.slots import HashedRRSampler
@@ -69,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import ExecutionPolicy, Runtime
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
 
 
 class SlotProvenance(NamedTuple):
@@ -102,6 +103,12 @@ class MaintenanceReport:
 
 class RRStore:
     """A delta-maintained, advertiser-tagged RR-set collection.
+
+    The slots live in four flat, read-only arrays, with no per-slot
+    objects: every member concatenated, and the size, tag and root of each
+    slot.  A generation appends to them and a redraw splices the stale
+    slots in with one gather; both build new arrays, so an array handed
+    out by :meth:`export_slots` or :meth:`roots` never changes.
 
     Parameters
     ----------
@@ -155,11 +162,10 @@ class RRStore:
         self._generator_cls = (
             None if self._policy.rr_engine == "subsim" else RRSetGenerator
         )
-        self._members: List[np.ndarray] = []
-        #: Per-slot member counts, aligned with ``_members``.
+        self._members = _EMPTY  # the slot arrays (see the class docstring)
         self._sizes = _EMPTY
-        self._tags: List[int] = []
-        self._roots: List[int] = []
+        self._tags = _EMPTY
+        self._roots = _EMPTY
         self._collection: Optional[RRCollection] = None
         self._payload_probabilities: Optional[List[np.ndarray]] = None
         #: The parent-side hashed engine for ``_engine_graph``, built on the
@@ -168,7 +174,6 @@ class RRStore:
         self._engine_graph = None
         self._synced_epoch = view.epoch
         self._redraws_total = 0
-        self._epochs_absorbed = 0
         #: Interrupted maintenance state: ``(target_epoch, effect, stale,
         #: reason)`` when a redraw failed mid-batch — see :meth:`retry_maintenance`.
         self._pending_maintenance: Optional[Tuple[int, DeltaEffect, np.ndarray, str]] = None
@@ -177,7 +182,7 @@ class RRStore:
     # accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._members)
+        return self._sizes.size
 
     @property
     def view(self) -> MutableGraphView:
@@ -216,27 +221,26 @@ class RRStore:
 
     @property
     def collection(self) -> RRCollection:
-        """The current tagged collection (rebuilt lazily after maintenance)."""
+        """The current tagged collection, built from the slot arrays on first
+        use and rebuilt by every maintenance round after that."""
         self._check_sync()
         if self._collection is None:
-            flat = np.concatenate(self._members) if self._members else _EMPTY
-            tags = np.asarray(self._tags, dtype=np.int64)
             self._collection = RRCollection.from_shards(
                 self._view.num_nodes,
                 self._view.num_advertisers,
-                [(flat, self._sizes, tags)],
+                [(self._members, self._sizes, self._tags)],
             )
         return self._collection
 
     def provenance(self, index: int) -> SlotProvenance:
         """Replay provenance of RR-set slot ``index``."""
         return SlotProvenance(
-            slot=index, root=self._roots[index], tag=self._tags[index]
+            slot=index, root=int(self._roots[index]), tag=int(self._tags[index])
         )
 
     def roots(self) -> np.ndarray:
-        """Recorded root node per slot."""
-        return np.asarray(self._roots, dtype=np.int64)
+        """Recorded root node per slot (read-only)."""
+        return self._roots
 
     def estimate_total_revenue(self, allocation) -> float:
         """Estimate ``π(S⃗)`` on the current collection (Lemma 4.1 estimator)."""
@@ -258,20 +262,21 @@ class RRStore:
             return
         if self._view.num_nodes == 0:
             raise SamplingError("cannot generate RR-sets on an empty graph")
-        start = len(self._members)
+        start = len(self)
         drawn = self._draw_slots((start, start + count))
-        for members, tag, root in drawn:
-            self._members.append(members)
-            self._tags.append(tag)
-            self._roots.append(root)
-        self._sizes = np.concatenate(
-            (self._sizes, [members.size for members, _, _ in drawn])
-        )
+        self._adopt(*map(np.concatenate, zip(self.export_slots(), drawn)))
         self._collection = None
 
-    def _draw_slots(self, slots) -> List[Tuple[np.ndarray, int, int]]:
+    def _adopt(self, members, sizes, tags, roots) -> None:
+        """Make the given flat arrays, which nothing else holds, the slots."""
+        for array in (members, sizes, tags, roots):
+            array.setflags(write=False)
+        self._members, self._sizes, self._tags, self._roots = members, sizes, tags, roots
+
+    def _draw_slots(self, slots) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Draw the given slots (a ``(lo, hi)`` range or an index array),
-        in-process or sharded across the pool (see the module docstring)."""
+        in-process or sharded across the pool (see the module docstring),
+        as flat ``(members, sizes, tags, roots)`` arrays in slot order."""
         if self._payload_probabilities is None:
             self._payload_probabilities = self._view.advertiser_edge_probabilities
         from repro.parallel.rr import run_slot_shards
@@ -287,17 +292,8 @@ class RRStore:
             acquire_executor(self._policy.n_jobs, self._runtime),
             engine=self._hashed_engine if self._generator_cls is None else None,
         )
-        drawn: List[Tuple[np.ndarray, int, int]] = []
-        for shard in shards:
-            for members, tag, root in zip(
-                split_by_sizes(shard.members, shard.sizes),
-                shard.tags.tolist(),
-                shard.roots.tolist(),
-            ):
-                # Detach from the shard buffer: a split slice is a view that
-                # would keep the whole buffer alive as long as the slot does.
-                drawn.append((members.copy(), tag, root))
-        return drawn
+        columns = zip(*((s.members, s.sizes, s.tags, s.roots) for s in shards))
+        return tuple(np.concatenate(column) for column in columns)
 
     def _hashed_engine(self) -> HashedRRSampler:
         """The hashed engine for the current snapshot, built from scratch
@@ -339,13 +335,12 @@ class RRStore:
                 self._view.graph, self._view.advertiser_edge_probabilities, effect.in_edit
             )
             self._engine_graph = self._view.graph
-        total = len(self._members)
+        total = len(self)
         stale, reason = (
             self._stale_slots(effect) if total else (_EMPTY, "clean")
         )
         if stale.size == 0:
             self._synced_epoch = self._view.epoch
-            self._epochs_absorbed += 1
             return MaintenanceReport(
                 epoch=effect.epoch,
                 total=total,
@@ -382,26 +377,24 @@ class RRStore:
                 f"pending (view.epoch={self._view.epoch}, expected "
                 f"{target_epoch}); the store cannot recover"
             )
-        drawn = self._draw_slots(stale)
-        total = len(self._members)
-        replacements: Dict[int, Tuple[np.ndarray, int]] = {}
-        for slot, (members, tag, root) in zip(stale.tolist(), drawn):
-            self._members[slot] = members
-            self._tags[slot] = tag
-            self._roots[slot] = root
-            replacements[slot] = (members, tag)
-        self._sizes = self._sizes.copy()  # a cached collection may share it
-        self._sizes[stale] = [members.size for members, _, _ in drawn]
-        if effect.num_nodes_changed or self._collection is None:
-            # Node-space changes alter the collection's (h, n) shape — the
-            # cached view cannot be compacted in place.
-            self._collection = None
-        else:
-            self._collection = self._collection.compact(replacements=replacements)
+        members, sizes, tags, roots = self._draw_slots(stale)
+        total = len(self)
+        # Splice the redrawn slots into fresh arrays: one gather, no loop
+        # over slots.
+        members, sizes = splice_sets(self._members, self._sizes, stale, members, sizes)
+        spliced_tags, spliced_roots = self._tags.copy(), self._roots.copy()
+        spliced_tags[stale], spliced_roots[stale] = tags, roots
+        self._adopt(members, sizes, spliced_tags, spliced_roots)
+        # A cached collection is rebuilt from the spliced arrays right away,
+        # as a compaction would; an unused one stays unbuilt.  Node-space
+        # changes alter its (h, n) shape, so it is dropped then.
+        rebuild = self._collection is not None and not effect.num_nodes_changed
+        self._collection = None
         self._redraws_total += int(stale.size)
         self._synced_epoch = target_epoch
-        self._epochs_absorbed += 1
         self._pending_maintenance = None
+        if rebuild:
+            self.collection
         return MaintenanceReport(
             epoch=effect.epoch,
             total=total,
@@ -412,7 +405,7 @@ class RRStore:
 
     def _stale_slots(self, effect: DeltaEffect) -> Tuple[np.ndarray, str]:
         """Slot indices invalidated by ``effect`` and the reason label."""
-        total = len(self._members)
+        total = len(self)
         if effect.num_nodes_changed:
             # The root draw domain (integers(0, n)) changed: every slot's
             # replay differs, so the whole store is invalidated.
@@ -423,11 +416,10 @@ class RRStore:
         ):
             return _EMPTY, "clean"
         # Signature intersection, vectorized over the flat member layout.
-        flat = np.concatenate(self._members)
-        starts = np.zeros(total, dtype=np.int64)
-        np.cumsum(self._sizes[:-1], out=starts[1:])
+        flat = self._members
+        starts = np.cumsum(self._sizes) - self._sizes
         n = self._view.num_nodes
-        tags = np.asarray(self._tags, dtype=np.int64)
+        tags = self._tags
         stale_mask = np.zeros(total, dtype=bool)
         if effect.dirty_nodes.size:
             mask = np.zeros(n, dtype=bool)
@@ -452,13 +444,11 @@ class RRStore:
         The checkpoint payload of the allocation server
         (:mod:`repro.serve.checkpoint`): together with :attr:`seed` and the
         view's graph snapshot these arrays reconstruct the store
-        bit-identically via :meth:`from_slots`.
+        bit-identically via :meth:`from_slots`.  They are the store's own
+        read-only arrays, not copies.
         """
         self._check_sync()
-        flat = np.concatenate(self._members) if self._members else _EMPTY.copy()
-        tags = np.asarray(self._tags, dtype=np.int64)
-        roots = np.asarray(self._roots, dtype=np.int64)
-        return flat, self._sizes.copy(), tags, roots
+        return self._members, self._sizes, self._tags, self._roots
 
     @classmethod
     def from_slots(
@@ -477,39 +467,23 @@ class RRStore:
 
         The slot arrays are adopted verbatim — no redraw happens — so the
         restored store is bit-identical to the one that exported them,
-        provided ``view`` holds the same graph snapshot.  Structural
-        inconsistencies (size/tag/member ranges) raise
-        :class:`~repro.exceptions.SamplingError`.
+        provided ``view`` holds the same graph snapshot.  Each array is
+        copied once, so no restored payload buffer stays alive.  Slots no
+        draw could produce raise :class:`~repro.exceptions.SamplingError`
+        up front (:func:`~repro.rrsets.collection.validate_flat_sets`, or a
+        root outside its slot).
         """
-        members = np.ascontiguousarray(np.asarray(members, dtype=np.int64))
-        sizes = np.asarray(sizes, dtype=np.int64)
-        tags = np.asarray(tags, dtype=np.int64)
-        roots = np.asarray(roots, dtype=np.int64)
-        if not (sizes.shape == tags.shape == roots.shape):
+        arrays = (members, sizes, tags, roots)
+        members, sizes, tags, roots = (np.array(a, dtype=np.int64) for a in arrays)
+        if sizes.shape != roots.shape:
             raise SamplingError("sizes, tags and roots must have equal length")
-        if sizes.size and sizes.min() < 0:
-            raise SamplingError("slot sizes must be non-negative")
-        if int(sizes.sum()) != members.size:
-            raise SamplingError(
-                f"member array length {members.size} does not match "
-                f"sum(sizes)={int(sizes.sum())}"
-            )
-        if tags.size and (
-            tags.min() < 0 or tags.max() >= view.num_advertisers
-        ):
-            raise SamplingError("slot tags must be valid advertiser indices")
-        if members.size and (
-            members.min() < 0 or members.max() >= view.num_nodes
-        ):
-            raise SamplingError("slot members must be valid node ids")
-        if roots.size and (roots.min() < 0 or roots.max() >= view.num_nodes):
-            raise SamplingError("slot roots must be valid node ids")
+        validate_flat_sets(members, sizes, tags, view.num_nodes, view.num_advertisers)
+        if sizes.size and not np.logical_or.reduceat(
+            members == np.repeat(roots, sizes), np.cumsum(sizes) - sizes
+        ).all():
+            raise SamplingError("every slot root must be a member of its slot")
         store = cls(view, cpes, seed=seed, policy=policy, runtime=runtime)
-        # Copies, not views: a slot must not keep the whole payload alive.
-        store._members = [chunk.copy() for chunk in split_by_sizes(members, sizes)]
-        store._sizes = sizes.copy()
-        store._tags = [int(tag) for tag in tags]
-        store._roots = [int(root) for root in roots]
+        store._adopt(members, sizes, tags, roots)
         return store
 
     # ------------------------------------------------------------------ #
@@ -530,6 +504,6 @@ class RRStore:
 
     def __repr__(self) -> str:
         return (
-            f"RRStore(slots={len(self._members)}, epoch={self._synced_epoch}, "
+            f"RRStore(slots={len(self)}, epoch={self._synced_epoch}, "
             f"redraws_total={self._redraws_total}, seed={self._entropy})"
         )

@@ -76,7 +76,10 @@ best ``(-value, counter)`` pair sits in ``_heap`` in its place; when it
 surfaces, the next ``_PREFIX`` tail entries move in.  An entry therefore
 reaches the heap before anything it sorts after is popped, and any valid
 heap over the same entries pops them in the same order, so the tail leaves
-the pop sequence unchanged.
+the pop sequence unchanged.  A tail key gets its ``_members`` entry only
+when it moves into ``_heap``: until then a boolean column marks it live,
+and :meth:`~BatchedLazyGreedy.discard` finds tail keys through a sorted
+copy of the tail's keys, built on the first discard that needs it.
 """
 
 from __future__ import annotations
@@ -158,8 +161,12 @@ class BatchedLazyGreedy:
         self._zeros: Deque[int] = deque()
         self._stale = 0
         # Bulk-pushed entries not yet in ``_heap``, as parallel arrays
-        # (-value, counter, key, round) in no particular order.
+        # (-value, counter, key, round, live) in no particular order; a
+        # discarded entry stays until a refill or compaction, marked dead.
         self._tail: Tuple[np.ndarray, ...] = ()
+        self._tail_count = 0  # live tail entries
+        # (argsort, sorted keys) of the tail's keys, built by _tail_positions.
+        self._tail_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._members: Dict[int, float] = {}
         # Speculative evaluations for the current round: key -> value.
         self._pending: Dict[int, float] = {}
@@ -169,10 +176,24 @@ class BatchedLazyGreedy:
         self.elements_evaluated = 0
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._members) + self._tail_count
 
     def __contains__(self, key: int) -> bool:
-        return int(key) in self._members
+        key = int(key)
+        return key in self._members or bool(
+            self._tail_count and self._tail_positions(np.array([key])).size
+        )
+
+    def _tail_positions(self, keys: np.ndarray) -> np.ndarray:
+        """Tail positions of the live tail entries of ``keys`` (unique)."""
+        tail_keys, live = self._tail[2], self._tail[4]
+        if self._tail_index is None:
+            order = np.argsort(tail_keys, kind="stable")
+            self._tail_index = (order, tail_keys[order])
+        order, sorted_keys = self._tail_index
+        at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+        positions = np.unique(order[at[sorted_keys[at] == keys]])
+        return positions[live[positions]]
 
     def _evaluate(self, keys: np.ndarray) -> np.ndarray:
         values = np.asarray(self._batch_evaluate(keys), dtype=np.float64)
@@ -202,7 +223,6 @@ class BatchedLazyGreedy:
             values = self._evaluate(key_array)
         else:
             values = np.asarray(values, dtype=np.float64)
-        self._members.update(zip(key_array.tolist(), values.tolist()))
         base = self._next_counter
         self._next_counter = base + key_array.size
         counters = np.arange(base, self._next_counter, dtype=np.int64)
@@ -211,15 +231,20 @@ class BatchedLazyGreedy:
             if zero.any():
                 # Zeros join the tail in insertion order; the rest keep the
                 # counters of their insertion positions.
-                self._zeros.extend(key_array[zero].tolist())
+                zero_keys = key_array[zero].tolist()
+                self._zeros.extend(zero_keys)
+                self._members.update(zip(zero_keys, values[zero].tolist()))
                 live = ~zero
                 key_array, values, counters = key_array[live], values[live], counters[live]
         if key_array.size > _PREFIX:
-            rounds = np.full(key_array.size, self._round, dtype=np.int64)
-            fresh = (-values, counters, key_array, rounds)
+            size = key_array.size
+            rounds = np.full(size, self._round, dtype=np.int64)
+            fresh = (-values, counters, key_array, rounds, np.ones(size, dtype=bool))
             self._tail = tuple(map(np.concatenate, zip(self._tail, fresh))) if self._tail else fresh
+            self._tail_count += size
             self._refill()
             return
+        self._members.update(zip(key_array.tolist(), values.tolist()))
         entries = list(
             zip(
                 (-values).tolist(),
@@ -243,30 +268,34 @@ class BatchedLazyGreedy:
         by a later push or refill only triggers an early refill."""
         if not self._tail:
             return
-        negated = self._tail[0]
+        tail = self._tail
+        if self._tail_count < tail[0].size:
+            tail = tuple(column[tail[4]] for column in tail)
+        negated = tail[0]
         moved = np.zeros(negated.size, dtype=bool)
         if negated.size > _PREFIX:
             moved[np.argpartition(negated, _PREFIX - 1)[:_PREFIX]] = True
         else:
             moved[:] = True
-        members = self._members
+        entries = [column[moved].tolist() for column in tail[:4]]
+        self._members.update(zip(entries[2], (-negated[moved]).tolist()))
         heap = self._heap
-        heap.extend(
-            entry
-            for entry in zip(*(column[moved].tolist() for column in self._tail))
-            if entry[2] in members
-        )
-        self._tail = tuple(column[~moved] for column in self._tail)
+        heap.extend(zip(*entries))
+        self._tail = tuple(column[~moved] for column in tail)
+        self._tail_count -= len(entries[2])
+        self._tail_index = None
         self._stand_sentinel()
         heapq.heapify(heap)
 
     def _stand_sentinel(self) -> None:
         """Push the tail's best ``(-value, counter)`` as a ``_TAIL`` entry,
         or forget an empty tail."""
-        negated, counters = self._tail[0], self._tail[1]
-        if negated.size == 0:
+        if not self._tail_count:
             self._tail = ()
             return
+        negated, counters, _, _, live = self._tail
+        if self._tail_count < negated.size:
+            negated, counters = negated[live], counters[live]
         best = negated.min()
         self._heap.append((float(best), int(counters[negated == best].min()), _TAIL, 0))
 
@@ -284,18 +313,20 @@ class BatchedLazyGreedy:
         order, and the zero tail keeps its order and its stale prefix.
         """
         members = self._members
-        for key in np.asarray(keys, dtype=np.int64).tolist():
-            members.pop(key, None)
+        keys = np.asarray(keys, dtype=np.int64).tolist()
+        elsewhere = [key for key in keys if members.pop(key, None) is None]
+        if elsewhere and self._tail_count:
+            positions = self._tail_positions(np.asarray(elsewhere, dtype=np.int64))
+            self._tail[4][positions] = False
+            self._tail_count -= int(positions.size)
         heap, zeros = self._heap, self._zeros
         queued = len(heap) + len(zeros) + (self._tail[0].size if self._tail else 0)
-        if queued > 2 * len(members) + self._batch_size:
+        if queued > 2 * len(self) + self._batch_size:
             heap[:] = [entry for entry in heap if entry[2] in members]
             if self._tail:
-                tail_keys = self._tail[2]
-                live = np.fromiter(
-                    map(members.__contains__, tail_keys.tolist()), bool, tail_keys.size
-                )
+                live = self._tail[4]
                 self._tail = tuple(column[live] for column in self._tail)
+                self._tail_index = None
                 self._stand_sentinel()
             heapq.heapify(heap)
             self._stale = sum(key in members for key in islice(zeros, self._stale))

@@ -275,13 +275,25 @@ def _replay_against_the_scalar_heap(initial, steps, batch_size, pure, seed):
         elif step == "discard":
             live = [key for key in values if key in reference]
             dying = [key for key, dies in zip(live, argument * len(live)) if dies]
+            # Keys already popped are ignored, wherever they were queued.
+            dying += [key for key in values if key not in reference][:2]
             for key in dying:
                 reference.remove(key)
             heap.discard(np.asarray(dying, dtype=np.int64))
         assert len(heap) == len(reference)
+        assert [key in heap for key in values] == [key in reference for key in values]
+        _assert_tail_keys_are_not_members(heap)
     while len(reference):
         assert heap.pop_best() == reference.pop_best()
     assert heap.pop_best() is None
+
+
+def _assert_tail_keys_are_not_members(heap):
+    """A bulk-tail key gets a ``_members`` entry only when it enters the heap."""
+    if heap._tail:
+        waiting = heap._tail[2][heap._tail[4]].tolist()
+        assert heap._tail_count == len(waiting)
+        assert not any(key in heap._members for key in waiting)
 
 
 @pytest.mark.parametrize("pure", [True, False])
@@ -302,6 +314,9 @@ def test_bulk_tail_drains_in_the_scalar_order(pure):
     reference.push_many(range(count))
     heap.push_array(np.arange(count, dtype=np.int64))
     assert heap._tail and len(heap._heap) <= lazy_heap._PREFIX + 1
+    # Only the keys in the heap proper and the zeros have member entries.
+    assert len(heap._members) == len(heap._heap) - 1 + len(heap._zeros)
+    _assert_tail_keys_are_not_members(heap)
     steps = 0
     while len(reference):
         assert heap.pop_best() == reference.pop_best()
@@ -315,6 +330,10 @@ def test_bulk_tail_drains_in_the_scalar_order(pure):
             for key in set(dying):
                 reference.remove(key)
             heap.discard(np.asarray(dying, dtype=np.int64))
+            assert [key in heap for key in range(count)] == [
+                key in reference for key in range(count)
+            ]
+            _assert_tail_keys_are_not_members(heap)
         assert len(heap) == len(reference)
     assert heap.pop_best() is None and not heap._tail
 

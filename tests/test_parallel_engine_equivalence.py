@@ -41,7 +41,7 @@ from repro.parallel import (
 )
 from repro.parallel.executor import _default_start_method
 from repro.parallel.mc import sharded_spread
-from repro.parallel.rr import run_generation_shards, split_flat
+from repro.parallel.rr import merge_shards, run_generation_shards
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
 from repro.rrsets.uniform import UniformRRSampler
@@ -230,7 +230,7 @@ def test_generation_shards_partition_count(micro_graph, wc_probabilities):
     for shard in shards:
         assert shard.members.size == int(shard.sizes.sum())
         assert shard.cpu_seconds >= 0.0
-        rebuilt = split_flat(shard.members, shard.sizes)
+        rebuilt = list(merge_shards([shard]))
         assert len(rebuilt) == shard.sizes.size
 
 

@@ -682,9 +682,11 @@ def test_array_view_matches_the_reference_view(micro_graph, fuzz_seed):
 # memory: every stored slot owns its members
 # --------------------------------------------------------------------------- #
 def _assert_slots_own_their_members(store):
-    """No slot array is a view: a view would keep its source buffer (a
-    whole pool shard, or a whole restored payload) alive."""
-    assert all(members.base is None for members in store._members)
+    """The store's flat slot arrays own their buffers: a view would keep its
+    source buffer (a whole pool shard, or a whole restored payload) alive."""
+    arrays = store.export_slots()
+    assert all(array.base is None and not array.flags.writeable for array in arrays)
+    assert [array.size for array in arrays[1:]] == [len(store)] * 3
 
 
 def test_stored_slots_are_not_views(micro_graph, monkeypatch, pool_from_slots):
@@ -707,6 +709,28 @@ def test_stored_slots_are_not_views(micro_graph, monkeypatch, pool_from_slots):
             store.view, store.cpes, store.seed, *store.export_slots()
         )
     _assert_slots_own_their_members(restored)
+
+
+#: Two valid slots as ``(members, sizes, tags, roots)``, then edits that no
+#: slot draw could produce.
+_VALID_SLOTS = ([0, 3, 5, 2], [3, 1], [0, 1], [3, 2])
+_CORRUPT_SLOTS = {
+    "empty slot": ([0, 3, 5, 2], [3, 0, 1], [0, 0, 1], [3, 0, 2]),
+    "unsorted members": ([3, 0, 5, 2], [3, 1], [0, 1], [3, 2]),
+    "duplicate members": ([0, 3, 3, 2], [3, 1], [0, 1], [3, 2]),
+    "root outside its slot": ([0, 3, 5, 2], [3, 1], [0, 1], [4, 2]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPT_SLOTS))
+def test_from_slots_rejects_slots_no_draw_produces(micro_graph, corruption):
+    """A restore validates up front: a corrupt checkpoint fails at
+    ``from_slots``, not at the restored server's first query."""
+    view = MutableGraphView(micro_graph, _ic_probabilities(micro_graph))
+    valid = RRStore.from_slots(view, [1.0, 1.5], 3, *map(np.array, _VALID_SLOTS))
+    assert valid.collection.rr_set(0).tolist() == [0, 3, 5]
+    with pytest.raises(SamplingError):
+        RRStore.from_slots(view, [1.0, 1.5], 3, *map(np.array, _CORRUPT_SLOTS[corruption]))
 
 
 # --------------------------------------------------------------------------- #
