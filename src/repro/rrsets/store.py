@@ -379,15 +379,13 @@ class RRStore:
             )
         members, sizes, tags, roots = self._draw_slots(stale)
         total = len(self)
-        # Splice the redrawn slots into fresh arrays: one gather, no loop
-        # over slots.
         members, sizes = splice_sets(self._members, self._sizes, stale, members, sizes)
         spliced_tags, spliced_roots = self._tags.copy(), self._roots.copy()
         spliced_tags[stale], spliced_roots[stale] = tags, roots
         self._adopt(members, sizes, spliced_tags, spliced_roots)
-        # A cached collection is rebuilt from the spliced arrays right away,
-        # as a compaction would; an unused one stays unbuilt.  Node-space
-        # changes alter its (h, n) shape, so it is dropped then.
+        # A cached collection is rebuilt from the spliced arrays here, so the
+        # refresh and not the next query pays for it; an unused one stays
+        # unbuilt.  Node-space changes alter its (h, n) shape: drop it then.
         rebuild = self._collection is not None and not effect.num_nodes_changed
         self._collection = None
         self._redraws_total += int(stale.size)
