@@ -15,7 +15,10 @@ differs, and :func:`engine_for` picks it from the oracle's type:
   :class:`~repro.rrsets.collection.CoverageState` and a batch of stale
   candidates is refreshed with **one** gather ``scale · marginal[keys]``.
   Gains are ``scale × integer-count`` exactly like the oracle's own
-  answers, so accept/reject decisions see the oracle's floats.  The engine
+  answers, so accept/reject decisions see the oracle's floats; so are the
+  revenues of the engine's own seed sets (``seeds_revenue``, from the
+  state's covered counts) and of single nodes (``node_revenue``, from the
+  membership counts).  The engine
   is ``pure`` (deterministic, non-increasing marginals), which lets
   ThresholdGreedy and Fill drop dead elements in bulk.
 * :class:`OracleGreedyEngine` — for every other oracle (Monte-Carlo,
@@ -74,6 +77,20 @@ class GreedyEngine:
 
     def add_seed(self, advertiser: int, node: int) -> None:
         """Assign ``node`` to ``advertiser`` for every later evaluation."""
+        raise NotImplementedError
+
+    def add_seeds(self, advertiser: int, nodes: Iterable[int]) -> None:
+        """:meth:`add_seed` for every node of ``nodes``, in any order."""
+        for node in nodes:
+            self.add_seed(advertiser, node)
+
+    def seeds_revenue(self, advertiser: int, seeds: Set[int]) -> float:
+        """``π_i(S_i)``, where ``seeds`` are exactly the nodes added for
+        ``advertiser`` — the float ``oracle.revenue`` answers."""
+        raise NotImplementedError
+
+    def node_revenue(self, advertiser: int, node: int) -> float:
+        """``π_i({u})`` — the float ``oracle.revenue`` answers."""
         raise NotImplementedError
 
     def _singleton_revenues(self, keys: np.ndarray) -> np.ndarray:
@@ -153,6 +170,7 @@ class CoverageGreedyEngine(GreedyEngine):
         self._oracle = oracle
         self._scale = oracle.scale
         self._state = CoverageState(oracle.collection)
+        self._membership_flat = oracle.collection.membership_counts().ravel()
         # A flat view sharing the state's buffer: marginal updates made by
         # add_seed are visible through _marginal_flat with no re-gather.
         self._marginal_flat = self._state.marginal_matrix().ravel()
@@ -167,12 +185,23 @@ class CoverageGreedyEngine(GreedyEngine):
 
     def _singleton_revenues(self, keys: np.ndarray) -> np.ndarray:
         # Singleton revenue is scale × membership count: one gather.
-        return self._scale * self._oracle.collection.membership_counts().ravel()[keys]
+        return self._scale * self._membership_flat[keys]
 
     def add_seed(self, advertiser: int, node: int) -> None:
         # Only RR-sets tagged ``advertiser`` are covered (tags partition the
         # collection), so the other advertisers' marginal rows are untouched.
         self._state.add_seed(advertiser, int(node))
+
+    def add_seeds(self, advertiser: int, nodes: Iterable[int]) -> None:
+        self._state.add_seeds(advertiser, nodes)
+
+    def seeds_revenue(self, advertiser: int, seeds: Set[int]) -> float:
+        # The state covers exactly the sets ``seeds`` cover: the same count
+        # the oracle's ``coverage_count`` would take.
+        return self._scale * self._state.covered_count_for(advertiser)
+
+    def node_revenue(self, advertiser: int, node: int) -> float:
+        return self._scale * int(self._membership_flat[advertiser * self._num_nodes + int(node)])
 
 
 class OracleGreedyEngine(GreedyEngine):
@@ -214,6 +243,12 @@ class OracleGreedyEngine(GreedyEngine):
 
     def add_seed(self, advertiser: int, node: int) -> None:
         self._seeds[advertiser].add(int(node))
+
+    def seeds_revenue(self, advertiser: int, seeds: Set[int]) -> float:
+        return self._oracle.revenue(advertiser, seeds) if seeds else 0.0
+
+    def node_revenue(self, advertiser: int, node: int) -> float:
+        return self._oracle.revenue(advertiser, {int(node)})
 
 
 def _covers(oracle: RevenueOracle, instance: RMInstance) -> bool:

@@ -63,6 +63,26 @@ def greedy_single_advertiser(
         ``(best, selected, stopple)`` where ``best`` is the higher-revenue of
         ``selected`` (= ``S_i``) and ``stopple`` (= ``D_i``).
     """
+    best, selected, stopple, _revenue = greedy_with_revenue(
+        instance, oracle, advertiser, candidates=candidates, budget=budget
+    )
+    return best, selected, stopple
+
+
+def greedy_with_revenue(
+    instance: RMInstance,
+    oracle: RevenueOracle,
+    advertiser: int,
+    candidates: Optional[Iterable[int]] = None,
+    budget: Optional[float] = None,
+) -> Tuple[Set[int], Set[int], Set[int], float]:
+    """:func:`greedy_single_advertiser` plus ``π_i(best)``, the float
+    ``oracle.revenue`` answers for the returned set.
+
+    Both revenues the final comparison needs come from the greedy engine,
+    which holds exactly ``S_i``: on an RR-set oracle they are coverage
+    counts the engine already has, not fresh oracle queries.
+    """
     if not 0 <= advertiser < instance.num_advertisers:
         raise SolverError(f"advertiser {advertiser} out of range")
     budget_i = instance.budget(advertiser) if budget is None else float(budget)
@@ -108,7 +128,8 @@ def greedy_single_advertiser(
         else:
             stopple.add(node)
 
-    revenue_selected = oracle.revenue(advertiser, selected) if selected else 0.0
-    revenue_stopple = oracle.revenue(advertiser, stopple) if stopple else 0.0
-    best = selected if revenue_selected >= revenue_stopple else stopple
-    return set(best), selected, stopple
+    revenue_selected = engine.seeds_revenue(advertiser, selected)
+    revenue_stopple = engine.node_revenue(advertiser, next(iter(stopple))) if stopple else 0.0
+    if revenue_selected >= revenue_stopple:
+        return set(selected), selected, stopple, revenue_selected
+    return set(stopple), selected, stopple, revenue_stopple

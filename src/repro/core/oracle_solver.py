@@ -18,7 +18,7 @@ import numpy as np
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
-from repro.core.greedy import greedy_single_advertiser
+from repro.core.greedy import greedy_with_revenue
 from repro.core.result import SearchByproducts, SolverResult
 from repro.core.search import search_threshold
 from repro.exceptions import SolverError
@@ -69,13 +69,12 @@ def rm_with_oracle(
 
     if h == 1:
         budget = float(budgets[0]) if budgets is not None else None
-        best, selected, stopple = greedy_single_advertiser(
+        best, selected, stopple, revenue = greedy_with_revenue(
             instance, oracle, 0, candidates=candidates, budget=budget
         )
         allocation = Allocation(1)
         for node in best:
             allocation.assign(node, 0)
-        revenue = oracle.revenue(0, best) if best else 0.0
         depleted = 1 if stopple else 0
         result = SolverResult(
             allocation=allocation,

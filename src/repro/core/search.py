@@ -7,24 +7,36 @@ geometrically until either ``(1+τ)·γ1 ≥ γ2`` or ``γ2`` falls below
 ``min_i cpe(i) / (h+6)``.  Theorems 3.3 and 3.4 turn this invariant into the
 network-independent approximation ratios of the paper.
 
-**Each distinct ThresholdGreedy outcome is filled once.**  Probes whose γ
-lies below every rate that matters accept the same elements in the same
-order, so their ``Fill`` would redo a fill already done in this search.  On
-a ``pure`` engine (RR-set coverage) ``Fill`` and ``total_revenue`` are
-deterministic functions of the input allocation's *ordered* assignment
-sequence ``tuple(allocation.pairs())``: instance, oracle, budgets and
-candidates are fixed within one search, and that sequence fixes the order
-seed sets iterate in, the float sums of ``cost_of_set`` and the filled
-allocation's assignment order.  The search keys its fills by that tuple and
-hands a repeat a copy of the stored result, so no two tried allocations
-share an object.  On any other engine every probe is filled afresh: a
-Monte-Carlo oracle's ``Fill`` draws from the oracle's shared RNG, and
+**Each sub-solve runs once per search.**  On a ``pure`` engine (RR-set
+coverage) the search keeps one :class:`~repro.core.threshold_greedy.SearchMemo`
+for the length of the call.  Instance, oracle, budgets and candidates are
+fixed within one search, so it memoizes:
+
+* the ground set every probe starts from — the singleton-feasible element
+  keys with their initial gains and rates; each ThresholdGreedy probe only
+  filters them by its own γ;
+* the Line 9-10 rescue, keyed by ``(advertiser, selected nodes)``, which
+  fixes Algorithm 1's candidate list and its order, with the revenue of the
+  set it returns;
+* each distinct ThresholdGreedy outcome's ``Fill`` and ``total_revenue``.
+  Probes whose γ lies below every rate that matters accept the same
+  elements in the same order.  Both results are deterministic functions of
+  the outcome's *ordered* assignment sequence ``tuple(allocation.pairs())``,
+  which fixes the order seed sets iterate in, the float sums of
+  ``cost_of_set`` and the filled allocation's assignment order.  A repeat
+  gets a copy of the stored result, so no two tried allocations share an
+  object.
+
+The memo lives for one call only: RMA grows its RR-set collection in place
+between rounds, which changes every answer.  On any other engine nothing is
+memoized and every probe runs its own rescue and fill: a Monte-Carlo
+oracle's rescue and ``Fill`` draw from the oracle's shared RNG, and
 skipping those draws would shift every later answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +45,7 @@ from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import engine_class, engine_for
 from repro.core.result import SearchByproducts
-from repro.core.threshold_greedy import fill, threshold_greedy
+from repro.core.threshold_greedy import SearchMemo, fill, threshold_greedy
 from repro.exceptions import SolverError
 
 
@@ -110,26 +122,34 @@ def search_threshold(
     byproducts.gamma_low, byproducts.gamma_high = gamma_low, gamma_high
     tried: list[Tuple[Allocation, float]] = []
     iterations = 0
-    # Filled outcomes by ordered assignment sequence (pure engines only).
-    reuse = engine_class(instance, oracle).pure
-    filled: Dict[Tuple[Tuple[int, int], ...], Tuple[Allocation, float]] = {}
+    memo = (
+        SearchMemo(instance, oracle, budget_array, candidates)
+        if engine_class(instance, oracle).pure
+        else None
+    )
 
     while True:
         iterations += 1
         allocation, depleted = threshold_greedy(
-            instance, oracle, gamma, budgets=budget_array, candidates=candidates, run_fill=False
+            instance,
+            oracle,
+            gamma,
+            budgets=budget_array,
+            candidates=candidates,
+            run_fill=False,
+            memo=memo,
         )
-        key = tuple(allocation.pairs()) if reuse else None
-        if key in filled:
-            stored, revenue = filled[key]
+        key = tuple(allocation.pairs()) if memo is not None else None
+        if key is not None and key in memo.fills:
+            stored, revenue = memo.fills[key]
             allocation = stored.copy()
         else:
             allocation = fill(
-                instance, oracle, allocation, budgets=budget_array, candidates=candidates
+                instance, oracle, allocation, budgets=budget_array, candidates=candidates, memo=memo
             )
             revenue = oracle.total_revenue(allocation)
-            if reuse:
-                filled[key] = (allocation, revenue)
+            if key is not None:
+                memo.fills[key] = (allocation, revenue)
         tried.append((allocation, revenue))
         if depleted >= b_min:
             byproducts.allocation_low = allocation

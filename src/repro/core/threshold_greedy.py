@@ -17,11 +17,27 @@ can never be accepted again from the heap in one vectorized step per
 acceptance, instead of surfacing and rejecting each one
 (:class:`_DeadElements`; :mod:`repro.utils.lazy_heap` explains why this
 leaves every allocation unchanged).
+
+Revenues are read from the greedy engine, not queried from the oracle.
+ThresholdGreedy's engine holds exactly ``S_i``, so Line 11's ``π(S_i)`` is
+:meth:`~repro.core.batched_greedy.GreedyEngine.seeds_revenue`, ``π(D_i)``
+of the one stopple node is
+:meth:`~repro.core.batched_greedy.GreedyEngine.node_revenue` and the rescue
+reports the revenue of the set it returns.  ``Fill`` replays its start
+allocation with one ``add_seeds`` per advertiser and reads the start
+revenues from the replay.  On an RR-set oracle these are
+``scale × covered_count_for(i)`` and ``scale × membership[i, d]``: the
+integers ``coverage_count`` would count, times the same scale, hence the
+oracle's floats.  On any other oracle they are the same ``oracle.revenue``
+calls as before.
+
+:class:`SearchMemo` carries what the probes of one threshold search share
+(:mod:`repro.core.search`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +45,7 @@ from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import GreedyEngine, engine_for
-from repro.core.greedy import greedy_single_advertiser, marginal_rate
+from repro.core.greedy import greedy_with_revenue, marginal_rate
 from repro.exceptions import SolverError
 from repro.utils.lazy_heap import BatchedLazyGreedy
 
@@ -45,14 +61,64 @@ def _margin(num_nodes: int) -> float:
     return 4.0 * (num_nodes + 16) * np.finfo(np.float64).eps
 
 
+class _Ground:
+    """The singleton-feasible element keys of one (instance, oracle,
+    budgets, candidates), advertiser-major: advertiser ``a``'s keys are
+    ``keys[bounds[a]:bounds[a + 1]]``, in candidate order."""
+
+    def __init__(
+        self,
+        engine: GreedyEngine,
+        instance: RMInstance,
+        budgets: np.ndarray,
+        candidates: Optional[Iterable[int]],
+    ):
+        self.keys = engine.feasible_element_keys(budgets, candidates)
+        self.bounds = np.searchsorted(
+            self.keys // instance.num_nodes, np.arange(instance.num_advertisers + 1)
+        )
+
+    def segment(self, advertiser: int) -> np.ndarray:
+        """``advertiser``'s keys."""
+        return self.keys[self.bounds[advertiser]: self.bounds[advertiser + 1]]
+
+
+class SearchMemo:
+    """What the probes of one threshold search share, on a pure engine only
+    (:mod:`repro.core.search` says why each entry is exact).
+
+    ``ground`` with its initial ``gains`` and ``rates`` (every probe starts
+    from the empty allocation); ``rescues`` maps ``(advertiser, selected
+    nodes)`` to Algorithm 1's ``(best set, its revenue)``; ``fills`` maps a
+    probe's ordered assignment sequence to its filled allocation and that
+    allocation's revenue.
+    """
+
+    def __init__(
+        self,
+        instance: RMInstance,
+        oracle: RevenueOracle,
+        budgets: np.ndarray,
+        candidates: Optional[Iterable[int]],
+    ):
+        engine = engine_for(instance, oracle)
+        self.ground = _Ground(engine, instance, budgets, candidates)
+        keys = self.ground.keys
+        self.gains = engine.gains(keys)
+        self.rates = engine.rates(keys)
+        self.advertisers = keys // instance.num_nodes
+        self.rescues: Dict[Tuple[int, FrozenSet[int]], Tuple[Set[int], float]] = {}
+        self.fills: Dict[Tuple[Tuple[int, int], ...], Tuple[Allocation, float]] = {}
+
+
 class _DeadElements:
     """Drops elements that can never be accepted again from a greedy heap.
 
-    ``dead(keys)`` masks the keys whose rejection is permanent given the
-    current solution.  Elements are dropped when pushed, when their node is
-    taken, when their advertiser's solution grows (:meth:`recheck`) or is
-    closed (:meth:`drop_advertiser`).  Off a ``pure`` engine every key is
-    pushed and nothing is ever dropped.
+    ``dead(advertiser, keys)`` masks the keys of ``advertiser`` whose
+    rejection is permanent given the current solution.  Elements are dropped
+    when pushed, when their node is taken, when their advertiser's solution
+    grows (:meth:`recheck`) or is closed (:meth:`drop_advertiser`).  Off a
+    ``pure`` engine every key is pushed and nothing is ever dropped.
     """
 
     def __init__(
@@ -60,7 +126,7 @@ class _DeadElements:
         heap: BatchedLazyGreedy,
         engine: GreedyEngine,
         instance: RMInstance,
-        dead: Callable[[np.ndarray], np.ndarray],
+        dead: Callable[[int, np.ndarray], np.ndarray],
         taken: Iterable[int] = (),
     ):
         self._heap = heap
@@ -73,14 +139,32 @@ class _DeadElements:
         self._node_keys = np.arange(self._h, dtype=np.int64) * n
         self._live: List[np.ndarray] = []
 
-    def push(self, keys: np.ndarray) -> None:
-        """Push the live ``keys`` onto the heap, keeping their order."""
+    def push(
+        self,
+        ground: _Ground,
+        values: Optional[np.ndarray] = None,
+        dead: Optional[np.ndarray] = None,
+    ) -> None:
+        """Push the live keys of ``ground`` onto the heap, keeping their order.
+
+        ``values`` (the keys' heap values) and ``dead`` (their ``dead``
+        mask) are passed when the caller already has them.
+        """
+        keys = ground.keys
         if self._enabled:
-            keys = keys[~self._taken[keys % self._n]]
-            keys = keys[~self._dead(keys)]
-            advertisers = keys // self._n
-            self._live = [keys[advertisers == a] for a in range(self._h)]
-        self._heap.push_array(keys)
+            if dead is None:
+                dead = np.concatenate(
+                    [self._dead(a, ground.segment(a)) for a in range(self._h)]
+                )
+            live = ~(dead | self._taken[keys % self._n])
+            bounds = ground.bounds
+            self._live = [
+                ground.segment(a)[live[bounds[a]: bounds[a + 1]]] for a in range(self._h)
+            ]
+            keys = keys[live]
+            if values is not None:
+                values = values[live]
+        self._heap.push_array(keys, values=values)
 
     def take(self, node: int) -> None:
         """``node`` is assigned: drop its element for every advertiser."""
@@ -93,7 +177,7 @@ class _DeadElements:
         if self._enabled:
             keys = self._live[advertiser]
             keys = keys[~self._taken[keys - advertiser * self._n]]
-            dead = self._dead(keys)
+            dead = self._dead(advertiser, keys)
             self._heap.discard(keys[dead])
             self._live[advertiser] = keys[~dead]
 
@@ -146,6 +230,7 @@ def threshold_greedy(
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
     run_fill: bool = True,
+    memo: Optional[SearchMemo] = None,
 ) -> Tuple[Allocation, int]:
     """Algorithm 2 — returns ``(allocation S⃗*, b)``.
 
@@ -162,6 +247,9 @@ def threshold_greedy(
         Whether to run the final ``Fill`` pass (Line 12).  ``Search`` runs
         it itself, once per distinct outcome, so it passes ``False``
         (:mod:`repro.core.search`).
+    memo:
+        The calling search's :class:`SearchMemo`, built for the same
+        instance, oracle, budgets and candidates.
     """
     if gamma < 0:
         raise SolverError("gamma must be non-negative")
@@ -184,9 +272,15 @@ def threshold_greedy(
     # parks the element as the stopple node D_a.
     thresholds = (gamma / budget_array) * (1.0 - _margin(n))
     pruner = _DeadElements(
-        heap, engine, instance, lambda keys: engine.rates(keys) < thresholds[keys // n]
+        heap, engine, instance, lambda a, keys: engine.rates(keys) < thresholds[a]
     )
-    pruner.push(engine.feasible_element_keys(budget_array, candidates))
+    if memo is None:
+        pruner.push(_Ground(engine, instance, budget_array, candidates))
+    else:
+        # The initial gains and rates are the memo's: filter, don't evaluate.
+        pruner.push(
+            memo.ground, values=memo.gains, dead=memo.rates < thresholds[memo.advertisers]
+        )
 
     # Main loop (Lines 3-8): pop by max marginal gain, apply the three filters.
     while len(heap) and len(depleted) < h:
@@ -219,30 +313,40 @@ def threshold_greedy(
     # Line 9-10: when exactly one budget is depleted, re-run Greedy for it on
     # the still-unassigned nodes; its result backs the b = 1 case of Thm 3.2.
     rescue: Dict[int, Set[int]] = {i: set() for i in range(h)}
+    rescue_revenue = [0.0] * h
     if len(depleted) == 1:
         advertiser = next(iter(depleted))
         selected_nodes = set().union(*state.selected.values())
-        unassigned = [
-            node
-            for node in (candidates if candidates is not None else range(instance.num_nodes))
-            if int(node) not in selected_nodes
-        ]
-        best, _selected, _stopple = greedy_single_advertiser(
-            instance,
-            oracle,
-            advertiser,
-            candidates=unassigned,
-            budget=float(budget_array[advertiser]),
-        )
-        rescue[advertiser] = best
+        key = (advertiser, frozenset(selected_nodes))
+        found = memo.rescues.get(key) if memo is not None else None
+        if found is None:
+            unassigned = [
+                node
+                for node in (candidates if candidates is not None else range(instance.num_nodes))
+                if int(node) not in selected_nodes
+            ]
+            best, _selected, _stopple, revenue = greedy_with_revenue(
+                instance,
+                oracle,
+                advertiser,
+                candidates=unassigned,
+                budget=float(budget_array[advertiser]),
+            )
+            found = (best, revenue)
+            if memo is not None:
+                memo.rescues[key] = found
+        rescue[advertiser], rescue_revenue[advertiser] = found
 
     # Line 11: per advertiser keep the best of S_j, D_j, A_j.
     chosen: Dict[int, Set[int]] = {}
     for advertiser in range(h):
-        options = [state.selected[advertiser], state.stopple[advertiser], rescue[advertiser]]
+        selected, stopple = state.selected[advertiser], state.stopple[advertiser]
         revenues = [
-            oracle.revenue(advertiser, option) if option else 0.0 for option in options
+            engine.seeds_revenue(advertiser, selected),
+            engine.node_revenue(advertiser, next(iter(stopple))) if stopple else 0.0,
+            rescue_revenue[advertiser],
         ]
+        options = [selected, stopple, rescue[advertiser]]
         chosen[advertiser] = set(options[int(np.argmax(revenues))])
 
     # The paper's Fill expects a partition; resolve cross-advertiser duplicates
@@ -257,7 +361,7 @@ def threshold_greedy(
 
     if run_fill:
         allocation = fill(
-            instance, oracle, allocation, budgets=budget_array, candidates=candidates
+            instance, oracle, allocation, budgets=budget_array, candidates=candidates, memo=memo
         )
     return allocation, len(depleted)
 
@@ -286,11 +390,13 @@ def fill(
     allocation: Allocation,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
+    memo: Optional[SearchMemo] = None,
 ) -> Allocation:
     """Algorithm 3 — greedily spend leftover budget by maximum marginal rate.
 
     Returns a new allocation extending ``allocation`` (the input is copied,
-    not mutated).
+    not mutated).  ``memo`` is the calling search's :class:`SearchMemo`,
+    whose ground set Fill shares.
     """
     h = instance.num_advertisers
     budget_array = (
@@ -303,13 +409,13 @@ def fill(
     revenue = [0.0] * h
     cost = [0.0] * h
     # Replay the incoming allocation into the engine so element gains are
-    # marginals w.r.t. the seeds Fill starts from.
+    # marginals w.r.t. the seeds Fill starts from; the replay then holds
+    # exactly each advertiser's seeds, hence their revenue.
     engine = engine_for(instance, oracle)
     for advertiser, seeds in result.items():
-        revenue[advertiser] = oracle.revenue(advertiser, seeds) if seeds else 0.0
         cost[advertiser] = instance.cost_of_set(advertiser, seeds)
-        for node in seeds:
-            engine.add_seed(advertiser, node)
+        engine.add_seeds(advertiser, seeds)
+        revenue[advertiser] = engine.seeds_revenue(advertiser, seeds)
 
     n = instance.num_nodes
     heap = engine.heap(engine.rates)
@@ -319,15 +425,16 @@ def fill(
     cost_flat = instance.cost_matrix().ravel()
     limits = budget_array * (1.0 + _margin(n))
 
-    def over_budget(keys: np.ndarray) -> np.ndarray:
-        advertisers = keys // n
-        totals = np.asarray(cost)[advertisers] + cost_flat[keys]
-        totals += np.asarray(revenue)[advertisers]
+    def over_budget(advertiser: int, keys: np.ndarray) -> np.ndarray:
+        totals = cost[advertiser] + cost_flat[keys]
+        totals += revenue[advertiser]
         totals += engine.gains(keys)
-        return totals > limits[advertisers]
+        return totals > limits[advertiser]
 
     pruner = _DeadElements(heap, engine, instance, over_budget, result.assigned_nodes())
-    pruner.push(engine.feasible_element_keys(budget_array, candidates))
+    pruner.push(
+        memo.ground if memo is not None else _Ground(engine, instance, budget_array, candidates)
+    )
 
     while len(heap):
         popped = heap.pop_best()

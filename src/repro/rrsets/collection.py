@@ -502,25 +502,46 @@ class CoverageState:
 
     def add_seed(self, advertiser: int, node: int) -> int:
         """Assign ``node`` to ``advertiser`` and return the newly covered count."""
+        containing = self._collection.sets_containing_array(advertiser, int(node))
+        return self._cover(advertiser, containing[~self._covered[containing]])
+
+    def add_seeds(self, advertiser: int, nodes: Iterable[int]) -> int:
+        """Assign every node of ``nodes`` to ``advertiser`` with one scatter.
+
+        Coverage does not depend on the order seeds arrive in, so this leaves
+        the marginals, the covered mask and the counts exactly as one
+        :meth:`add_seed` per node would; returns the newly covered count.
+        """
         collection = self._collection
-        containing = collection.sets_containing_array(advertiser, int(node))
-        if containing.size == 0:
+        slices = [collection.sets_containing_array(advertiser, int(node)) for node in nodes]
+        if not slices:
             return 0
-        fresh = containing[~self._covered[containing]]
+        # A set holding several of the nodes is marked once; a mask over
+        # the collection is cheaper than sorting the slices at large θ.
+        fresh = np.zeros_like(self._covered)
+        fresh[np.concatenate(slices)] = True
+        fresh &= ~self._covered
+        return self._cover(advertiser, np.flatnonzero(fresh))
+
+    def _cover(self, advertiser: int, fresh: np.ndarray) -> int:
+        """Mark the uncovered, distinct sets ``fresh`` (all tagged
+        ``advertiser``) covered and return how many there are."""
         newly_covered = int(fresh.size)
         if newly_covered == 0:
             return 0
         self._covered[fresh] = True
         # Gather the members of every newly covered RR-set from the CSR view
-        # and decrement their (tag, member) marginals in one scatter-add.
+        # and decrement their marginals, all in ``advertiser``'s row, in one
+        # scatter.
+        collection = self._collection
         offsets = collection.set_offsets
-        sizes = offsets[fresh + 1] - offsets[fresh]
-        total = int(sizes.sum())
+        starts = offsets[fresh]
+        sizes = offsets[fresh + 1] - starts
         ends = np.cumsum(sizes)
-        gather = np.repeat(offsets[fresh] - (ends - sizes), sizes) + np.arange(total)
-        members = collection.member_array[gather]
-        tags = np.repeat(collection.tag_array[fresh], sizes)
-        np.subtract.at(self._marginal, tags * self._num_nodes + members, 1)
+        gather = np.repeat(starts - (ends - sizes), sizes)
+        gather += np.arange(int(ends[-1]))
+        row = self._marginal[advertiser * self._num_nodes: (advertiser + 1) * self._num_nodes]
+        np.subtract.at(row, collection.member_array[gather], 1)
         self._covered_count += newly_covered
         self._covered_per_advertiser[advertiser] += newly_covered
         return newly_covered

@@ -170,11 +170,16 @@ class SocketListener:
             ).start()
 
     def _serve_connection(self, connection: socket.socket) -> None:
-        stream = connection.makefile("rw", encoding="utf-8", newline="\n")
+        # One reader file and one writer file: a shared read-write text
+        # stream drops the input it has decoded but not yet returned
+        # whenever the writer thread writes a reply, losing pipelined
+        # requests.
+        reader = connection.makefile("r", encoding="utf-8", newline="\n")
+        stream = connection.makefile("w", encoding="utf-8", newline="\n")
         writer = _ReplyWriter(stream)
         pending: List[Ticket] = []
         try:
-            for line in stream:
+            for line in reader:
                 line = line.strip()
                 if not line:
                     continue
@@ -187,10 +192,11 @@ class SocketListener:
         for ticket in pending:
             ticket.done.wait(self._server.service.drain_grace_s)
         writer.close(self._server.service.drain_grace_s)
-        try:
-            stream.close()
-        except (OSError, ValueError):
-            pass
+        for file in (reader, stream):
+            try:
+                file.close()
+            except (OSError, ValueError):
+                pass
         connection.close()
 
     def serve_until_stopped(self) -> None:

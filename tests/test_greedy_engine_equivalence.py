@@ -472,6 +472,34 @@ def test_greedy_single_advertiser_candidate_subset(graph):
     ) == greedy_single_advertiser(instance, _Delegating(oracle), 1, candidates=candidates)
 
 
+def test_greedy_values_the_stopple_node_on_its_own(graph):
+    """Algorithm 1 compares ``π(S)`` with ``π({d})``, not with ``d``'s
+    marginal given ``S``.  Here 20 cheap nodes each share a set with the
+    expensive node 0, which is also alone in 10 more: ``π(S) = 20``,
+    ``π({0}) = 30`` but ``π(0 | S) = 10``, so only the singleton revenue
+    makes the stopple node win."""
+    n = 21
+    tiny = preferential_attachment_digraph(n, out_degree=2, seed=3)
+    costs = np.full((1, n), 0.1)
+    costs[0, 0] = 10.0
+    collection = RRCollection(n, 1)
+    for node in range(1, n):
+        collection.add([0, node], 0)
+    for _ in range(10):
+        collection.add([0], 0)
+    instance = RMInstance(
+        tiny, WeightedCascadeModel(tiny), [Advertiser(budget=1.0, cpe=1.0)], costs
+    )
+    oracle = RRSetOracle(collection, instance.gamma)
+    # Node 0 fits alone, but not after the 20 cheap nodes.
+    budget = 10.0 + oracle.revenue(0, {0}) + 1.0
+    best, selected, stopple = greedy_single_advertiser(instance, oracle, 0, budget=budget)
+    assert best == stopple == {0} and len(selected) == 20
+    assert (best, selected, stopple) == greedy_single_advertiser(
+        instance, _Delegating(oracle), 0, budget=budget
+    )
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 10.0])
 def test_threshold_greedy_bit_identical(graph, gamma):
     instance, oracle = _instance_and_oracle(graph)

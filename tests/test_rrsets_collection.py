@@ -272,3 +272,48 @@ class TestCoverageState:
             for advertiser in range(2):
                 state.add_seed(advertiser, node)
         assert state.covered_count == len(collection)
+
+
+@st.composite
+def _seed_batches(draw):
+    """A random tagged collection and a few (advertiser, nodes) batches,
+    some repeating nodes or re-seeding covered sets."""
+    n = draw(st.integers(1, 15))
+    h = draw(st.integers(1, 4))
+    sets = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+                st.integers(0, h - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    batches = draw(
+        st.lists(
+            st.tuples(st.integers(0, h - 1), st.lists(st.integers(0, n - 1), max_size=2 * n)),
+            max_size=6,
+        )
+    )
+    return n, h, sets, batches
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_seed_batches())
+def test_add_seeds_equals_one_add_seed_per_node(case):
+    """One scatter per batch leaves the state exactly as one ``add_seed``
+    per node: marginals, covered mask and counts, batch by batch."""
+    n, h, sets, batches = case
+    collection = RRCollection(num_nodes=n, num_advertisers=h)
+    for members, tag in sets:
+        collection.add(members, advertiser=tag)
+    batched, sequential = CoverageState(collection), CoverageState(collection)
+    for advertiser, nodes in batches:
+        newly = batched.add_seeds(advertiser, nodes)
+        assert newly == sum(sequential.add_seed(advertiser, node) for node in nodes)
+        assert np.array_equal(batched.marginal_matrix(), sequential.marginal_matrix())
+        assert np.array_equal(batched._covered, sequential._covered)
+        assert batched.covered_count == sequential.covered_count
+        for tag in range(h):
+            assert batched.covered_count_for(tag) == sequential.covered_count_for(tag)

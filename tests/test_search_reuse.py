@@ -1,15 +1,18 @@
-"""The threshold search fills each distinct ThresholdGreedy outcome once.
+"""The threshold search does each sub-solve once.
 
 On a pure (RR-set coverage) engine ``Fill`` and ``total_revenue`` depend
 only on the ordered assignment sequence of ThresholdGreedy's allocation, so
 :func:`repro.core.search.search_threshold` fills a repeated outcome once and
-hands later probes a copy.  These tests pin that the reuse is invisible:
+hands later probes a copy; likewise a probe's Line 9-10 rescue depends only
+on the depleted advertiser and the selected nodes, so a repeated rescue is
+looked up, not rerun.  These tests pin that the reuse is invisible:
 the search returns what the plain loop in ``tests/reference/search.py``
 returns — allocations in assignment order, revenues, every
 :class:`SearchByproducts` field and the diagnostics — and its allocations
-alias each other exactly where the plain loop's do.  They also pin that the
-reuse happens on the benchmark-sized solve, and that a Monte-Carlo oracle,
-whose ``Fill`` draws from a shared RNG, is filled on every probe.
+alias each other exactly where the plain loop's do.  They also pin that
+both reuses happen on the benchmark-sized solve, and that a Monte-Carlo
+oracle, whose ``Fill`` and rescue draw from a shared RNG, is filled and
+rescued on every probe.
 """
 
 from __future__ import annotations
@@ -165,10 +168,56 @@ def test_a_solve_fills_fewer_outcomes_than_it_probes(monkeypatch):
     assert 0 < counts["fill"] < counts["threshold_greedy"]
 
 
-def _mc_instance():
+def _count_rescues(monkeypatch):
+    """Count the probes that deplete exactly one budget and the rescues
+    (Algorithm 1 on the unselected nodes) ThresholdGreedy runs."""
+    counts = {"single_depletions": 0, "rescues": 0, "inputs": set()}
+    probe, rescue = search.threshold_greedy, threshold_greedy.greedy_with_revenue
+
+    def counted_probe(*args, **kwargs):
+        allocation, depleted = probe(*args, **kwargs)
+        counts["single_depletions"] += depleted == 1
+        return allocation, depleted
+
+    def counted_rescue(instance, oracle, advertiser, candidates, budget):
+        counts["rescues"] += 1
+        counts["inputs"].add((advertiser, tuple(candidates), budget))
+        return rescue(instance, oracle, advertiser, candidates=candidates, budget=budget)
+
+    monkeypatch.setattr(search, "threshold_greedy", counted_probe)
+    monkeypatch.setattr(threshold_greedy, "greedy_with_revenue", counted_rescue)
+    return counts
+
+
+def test_a_solve_rescues_fewer_times_than_it_depletes_one_budget(monkeypatch):
+    """The benchmark's RMA solve repeats rescues within a search: it runs
+    Algorithm 1 fewer times than it has probes that deplete one budget."""
+    from repro.core.sampling_solver import SamplingParameters, rm_without_oracle
+    from repro.datasets.registry import build_dataset
+
+    data = build_dataset(
+        "flixster_like", num_advertisers=5, scale=0.2, seed=7, singleton_rr_sets=500
+    )
+    params = SamplingParameters(
+        epsilon=0.1,
+        rho=0.1,
+        tau=0.1,
+        initial_rr_sets=512,
+        max_rr_sets=4096,
+        policy=ExecutionPolicy.fast(n_jobs=1),
+        seed=1,
+    )
+    counts = _count_rescues(monkeypatch)
+    rm_without_oracle(data.instance, params)
+    assert 0 < counts["rescues"] < counts["single_depletions"]
+
+
+def _mc_instance(budgets=(6.0, 10.0, 14.0)):
     graph = preferential_attachment_digraph(40, out_degree=2, seed=2)
     # Tight budgets: two of this search's five ThresholdGreedy outcomes repeat.
-    advertisers = [Advertiser(budget=6.0 + 4.0 * i, cpe=1.0 + 0.5 * (i % 2)) for i in range(3)]
+    advertisers = [
+        Advertiser(budget=budget, cpe=1.0 + 0.5 * (i % 2)) for i, budget in enumerate(budgets)
+    ]
     costs = np.random.default_rng(4).uniform(0.5, 3.0, size=(3, graph.num_nodes))
     return RMInstance(graph, WeightedCascadeModel(graph), advertisers, costs)
 
@@ -187,6 +236,17 @@ def test_monte_carlo_search_fills_every_probe(monkeypatch):
     iterations = got[3]["search_iterations"]
     assert counts["fill"] == counts["threshold_greedy"] == iterations > 1
     _assert_same_search(got, expected)
+
+
+def test_monte_carlo_search_rescues_on_every_single_depletion(monkeypatch):
+    """A Monte-Carlo oracle's rescue draws from its shared RNG, so every
+    probe that depletes one budget runs its own, even a repeated one."""
+    # One tight budget: three probes deplete it alone, two of them with the
+    # same selected nodes.
+    instance = _mc_instance(budgets=(2.0, 20.0, 20.0))
+    counts = _count_rescues(monkeypatch)
+    search.search_threshold(instance, _mc_oracle(instance), tau=0.1, b_min=2)
+    assert counts["rescues"] == counts["single_depletions"] > len(counts["inputs"])
 
 
 def test_reused_fills_are_copies(monkeypatch):

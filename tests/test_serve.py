@@ -18,7 +18,9 @@ has its own suite in ``test_serve_cli.py``):
 
 from __future__ import annotations
 
+import json
 import sys
+from collections import Counter
 import threading
 import time
 
@@ -36,7 +38,13 @@ from repro.parallel import FailurePolicy, FaultInjector
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.estimators import estimate_advertiser_revenue
 from repro.runtime import ExecutionPolicy
-from repro.serve import AllocationServer, ServicePolicy, server as server_module
+from repro.serve import (
+    AllocationServer,
+    ServicePolicy,
+    SocketListener,
+    request_over_socket,
+    server as server_module,
+)
 from repro.serve.protocol import encode_reply
 
 #: Serial in-process policy — deterministic and pool-free for the protocol
@@ -525,6 +533,35 @@ class TestConcurrentClients:
                 reply["ok"] or reply["error"]["code"] == "overloaded"
                 for reply in replies
             )
+
+
+# --------------------------------------------------------------------------- #
+# socket transports: pipelined requests on one connection
+# --------------------------------------------------------------------------- #
+class TestPipelinedSockets:
+    @pytest.mark.parametrize("transport", ["unix", "tcp"])
+    def test_every_pipelined_request_gets_one_reply(self, instance, tmp_path, transport):
+        """Requests sent in one ``sendall`` reach the server even while the
+        connection's writer thread is replying to the first ones."""
+        count = 400
+        with AllocationServer(instance, policy=SERIAL, rr_sets=100, seed=11) as srv:
+            if transport == "unix":
+                listener = SocketListener(srv, unix_path=str(tmp_path / "serve.sock"))
+            else:
+                listener = SocketListener(srv, port=0)
+            try:
+                lines = [json.dumps({"op": "ping", "id": i}) for i in range(count)]
+                replies = [
+                    json.loads(line) for line in request_over_socket(listener.address, lines)
+                ]
+            finally:
+                listener.close()
+        # A request lost or cut short shows as a missing id (a cut line
+        # parses as a bad request with no id).
+        assert Counter(reply.get("id") for reply in replies) == Counter(range(count))
+        assert all(
+            reply["ok"] or reply["error"]["code"] == "overloaded" for reply in replies
+        )
 
 
 # --------------------------------------------------------------------------- #
